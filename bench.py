@@ -181,7 +181,6 @@ def _headline_once(timings: dict) -> dict:
             out_dir=out_dir,
             num_partitions=N_PARTITIONS,
             validate_pairs=False,  # production fast path
-            combiner=True,
             exchange=os.environ.get("BENCH_EXCHANGE", "write"),
         )
         t0 = time.perf_counter()

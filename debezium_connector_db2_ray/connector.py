@@ -26,7 +26,11 @@ import pyarrow.compute as pc
 
 from debezium_connector_db2_ray.lsn import Lsn
 from debezium_connector_db2_ray.pipelines.replay import CdcEngine, plan_windows
-from debezium_connector_db2_ray.stages.apply import is_system_table
+from debezium_connector_db2_ray.stages.apply import (
+    commit_range_filter,
+    is_system_table,
+    stop_lsn_fence,
+)
 
 
 @dataclass
@@ -218,10 +222,6 @@ class CdcConnector:
                 )
                 stop = self.stop_lsns.get(table)
                 if stop is not None and not self.z_stop_lsn_ignore:
-                    from debezium_connector_db2_ray.stages.apply import (
-                        stop_lsn_fence,
-                    )
-
                     routed = routed.map_batches(
                         lambda b, stop=stop: stop_lsn_fence(b, stop),
                         batch_format="pyarrow",
@@ -334,18 +334,9 @@ def _route(col: str, table: str):
 
 def _window_slice(lo: Lsn, hi: Lsn):
     """Filter a batch to commit LSNs in (lo, hi] — the window's bounded
-    working set (the per-engine window_prep re-checks, harmlessly)."""
+    working set (the per-engine window prep re-checks, harmlessly)."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        chi = batch["commit_lsn_hi"].to_numpy(zero_copy_only=False)
-        clo = batch["commit_lsn_lo"].to_numpy(zero_copy_only=False)
-        above = (chi > lo.hi) | ((chi == lo.hi) & (clo > lo.lo))
-        below = (chi < hi.hi) | ((chi == hi.hi) & (clo <= hi.lo))
-        keep = above & below
-        if keep.all():
-            return batch
-        return batch.filter(pa.array(keep))
+        return commit_range_filter(batch, lo, hi)
 
     return fn

@@ -370,32 +370,6 @@ class MinHasher:
         )
 
 
-def candidate_pairs_from_bucket(group: pa.Table, *, cap: int = 64) -> pa.Table:
-    """All (a < b) pairs within one LSH bucket. ``cap`` guards degenerate
-    buckets (a bucket holding half the corpus would explode quadratically —
-    log-and-truncate, the no-silent-caps rule is honored by emitting the
-    bucket size)."""
-    ids = np.unique(group["doc_id"].to_numpy(zero_copy_only=False))
-    n = len(ids)
-    if n < 2:
-        return pa.table(
-            {
-                "a": pa.array([], pa.int64()),
-                "b": pa.array([], pa.int64()),
-                "bucket_size": pa.array([], pa.int64()),
-            }
-        )
-    ids = ids[: min(n, cap)]
-    ii, jj = np.triu_indices(len(ids), k=1)
-    return pa.table(
-        {
-            "a": pa.array(ids[ii], pa.int64()),
-            "b": pa.array(ids[jj], pa.int64()),
-            "bucket_size": pa.array(np.full(len(ii), n, np.int64)),
-        }
-    )
-
-
 _CAND_SCHEMA = pa.schema(
     [("a", pa.int64()), ("b", pa.int64()), ("bucket_size", pa.int64())]
 )

@@ -73,31 +73,6 @@ class TokenStats:
         )
 
 
-def token_count_batch(batch: pa.Table) -> pa.Table:
-    """Whitespace token count — cheap stateless variant (no actor needed)."""
-    s = batch["text"].to_pandas().fillna("")
-    n = s.str.count(TOKEN_PATTERN).astype("int64")
-    return pa.table({"doc_id": batch["doc_id"], "n_tokens": pa.array(n)})
-
-
-def quality_score_batch(batch: pa.Table) -> pa.Table:
-    """Composite quality score in [0, 1]:
-    0.5 * min(1, tokens/100) + 0.5 * (1 - punct_char_ratio), rounded to 4
-    decimals. Deterministic and SQL-mirrorable (see functions/queries.py)."""
-    s = batch["text"].to_pandas().fillna("")
-    n_tokens = s.str.count(TOKEN_PATTERN).astype("float64")
-    n_chars = s.str.len().astype("float64")
-    n_punct = s.str.count(PUNCT_PATTERN).astype("float64")
-    punct_ratio = np.where(n_chars > 0, n_punct / np.maximum(n_chars, 1.0), 0.0)
-    score = 0.5 * np.minimum(1.0, n_tokens / 100.0) + 0.5 * (1.0 - punct_ratio)
-    return pa.table(
-        {
-            "doc_id": batch["doc_id"],
-            "quality": pa.array(np.round(score, 4)),
-        }
-    )
-
-
 def lang_id_batch(batch: pa.Table) -> pa.Table:
     """Heuristic language ID: count en markers ('the','and') vs fr markers
     ('le','et') as whole tokens; label en/fr/unknown (ties -> en if nonzero).

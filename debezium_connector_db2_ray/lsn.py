@@ -122,6 +122,31 @@ def lsn_increment(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return new_hi.astype(np.uint64), new_lo.astype(np.uint64)
 
 
+def lsn_range_mask(
+    hi: np.ndarray,
+    lo: np.ndarray,
+    low: Lsn | None = None,
+    high: Lsn | None = None,
+    *,
+    low_inclusive: bool = False,
+    high_inclusive: bool = True,
+) -> np.ndarray:
+    """Vectorized ``low < (hi, lo) <= high`` over (hi, lo) uint64 arrays — the
+    window convention (exclusive, inclusive]. Either bound may be None
+    (unbounded) and either end's inclusivity flipped. The one place the
+    lexicographic two-half compare is written out."""
+    hi = np.asarray(hi)
+    lo = np.asarray(lo)
+    mask = np.ones(len(hi), dtype=bool)
+    if low is not None:
+        lo_ok = (lo >= low.lo) if low_inclusive else (lo > low.lo)
+        mask &= (hi > low.hi) | ((hi == low.hi) & lo_ok)
+    if high is not None:
+        lo_ok = (lo <= high.lo) if high_inclusive else (lo < high.lo)
+        mask &= (hi < high.hi) | ((hi == high.hi) & lo_ok)
+    return mask
+
+
 def position_order(
     commit_hi: np.ndarray,
     commit_lo: np.ndarray,

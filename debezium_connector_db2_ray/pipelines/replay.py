@@ -7,7 +7,7 @@ Db2StreamingChangeEventSource.java:132-302) reshaped for Ray Data:
   snapshot:  read_parquet(lake) --map_batches(partition tag)-->
              groupby(part) --map_groups(collapse + staged write)--> manifest
   window w:  read_parquet(changelog, filter lsn in (from, to]) -->
-             map_batches(null-LSN drop, partition tag [, partial combiner]) -->
+             map_batches(null-LSN drop, partition tag [, partial LWW]) -->
              groupby(part) shuffle -->
              map_groups(sort, pair-validate, LWW apply, staged write) -->
              commit manifest (watermark = to_lsn)
@@ -23,8 +23,9 @@ Scale notes (100 TB design):
 - the changelog read prunes columns and pushes the LSN-range filter to parquet
   row groups;
 - the only all-to-all exchange per window is the groupby on the int32 ``part``
-  column; with the per-batch combiner on, shuffle volume is bounded by
-  (#distinct keys touched) not (#events);
+  column; with the per-batch partial collapse (fast path, no strict pair
+  validation), shuffle volume is bounded by (#distinct keys touched) not
+  (#events);
 - hot conv_ids are split by salted sub-partitioning (``salt`` > 1) — legal
   because the LWW key is (conv_id, turn_idx);
 - outputs are per-partition files, so downstream reads and re-runs are
@@ -45,26 +46,16 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from debezium_connector_db2_ray.lsn import Lsn, lsn_hex
-from debezium_connector_db2_ray.ops import OP_DELETE
+from debezium_connector_db2_ray.lsn import Lsn, lsn_hex, lsn_range_mask
 from debezium_connector_db2_ray.schema import (
     CHANGELOG_META_COLUMNS,
     KEY_COLUMNS,
     conform_table,
 )
 
-META_SET = set(CHANGELOG_META_COLUMNS)
-
-
-def _arrow_schema(ds: "ray.data.Dataset") -> pa.Schema:
-    """Arrow schema of a Dataset (executes at most a tiny sample)."""
-    s = ds.schema()
-    base = getattr(s, "base_schema", None)
-    if isinstance(base, pa.Schema):
-        return base
-    return pa.schema(list(zip(s.names, s.types)))
 from debezium_connector_db2_ray.stages.apply import (
-    apply_partition,
+    commit_range_filter,
+    fence_filter,
     final_state,
     lww_collapse,
     partition_ids,
@@ -76,12 +67,22 @@ from debezium_connector_db2_ray.state.manifest import (
     WindowManifest,
     commit_manifest,
     committed_watermark,
-    live_files,
     next_window_id,
     partition_files,
 )
 
+META_SET = set(CHANGELOG_META_COLUMNS)
 PART_COL = "__part"
+
+
+def _arrow_schema(ds: "ray.data.Dataset") -> pa.Schema:
+    """Arrow schema of a Dataset (executes at most a tiny sample)."""
+    s = ds.schema()
+    base = getattr(s, "base_schema", None)
+    if isinstance(base, pa.Schema):
+        return base
+    return pa.schema(list(zip(s.names, s.types)))
+
 
 _MANIFEST_ROW_SCHEMA = pa.schema(
     [
@@ -137,8 +138,7 @@ def _lsn_range(table: pa.Table) -> tuple[str | None, str | None]:
     return lsn_hex(int(chi[lo]), int(clo[lo])), lsn_hex(int(chi[hi]), int(clo[hi]))
 
 
-def staged_writer(delta_dir: str, *, validate_pairs: bool, drop_tombstones: bool = False,
-                  compression: str = "zstd",
+def staged_writer(delta_dir: str, *, validate_pairs: bool,
                   key_columns: tuple[str, ...] = KEY_COLUMNS):
     """map_groups fn over one hash partition: LWW-collapse the partition and
     stage its parquet file; emit one manifest row. The file only becomes
@@ -150,15 +150,13 @@ def staged_writer(delta_dir: str, *, validate_pairs: bool, drop_tombstones: bool
             group.drop_columns([PART_COL]), validate_pairs=validate_pairs,
             key_columns=key_columns,
         )
-        if drop_tombstones and collapsed.num_rows:
-            collapsed = collapsed.filter(pc.not_equal(collapsed["op"], OP_DELETE))
         pdir = os.path.join(delta_dir, f"part={part:05d}")
         os.makedirs(pdir, exist_ok=True)
         path = os.path.join(pdir, f"part-{uuid.uuid4().hex}.parquet")
         collapsed = collapsed.append_column(
             PART_COL, pa.array(np.full(collapsed.num_rows, part, np.int32))
         )
-        pq.write_table(collapsed, path, compression=compression)
+        pq.write_table(collapsed, path, compression="zstd")
         mn, mx = _lsn_range(collapsed)
         return pa.Table.from_pylist(
             [
@@ -177,7 +175,7 @@ def staged_writer(delta_dir: str, *, validate_pairs: bool, drop_tombstones: bool
     return fn
 
 
-def fragment_writer(delta_dir: str, *, compression: str = "zstd",
+def fragment_writer(delta_dir: str, *,
                     key_columns: tuple[str, ...] = KEY_COLUMNS):
     """map_batches fn for the WRITE-EXCHANGE sink: partial-collapse the batch,
     cluster it by hash partition, and write ONE fragment parquet whose row
@@ -201,7 +199,7 @@ def fragment_writer(delta_dir: str, *, compression: str = "zstd",
         uniq, starts, counts = np.unique(parts, return_index=True, return_counts=True)
         # row groups sized so one partition spans few groups (pruning works)
         rg = max(16_384, batch.num_rows // max(1, len(uniq)))
-        pq.write_table(batch, path, row_group_size=rg, compression=compression)
+        pq.write_table(batch, path, row_group_size=rg, compression="zstd")
         op = batch["op"].to_numpy(zero_copy_only=False)
         rows = []
         for p, s, c in zip(uniq, starts, counts):
@@ -262,20 +260,27 @@ def read_partition_table(
 class CdcEngine:
     """A CDC target lake: output directory + partitioning/exchange policy.
 
-    ``exchange``:
-    - "shuffle": groupby hash shuffle + per-partition LWW collapse before the
-      staged write (read-optimized deltas; required for strict
-      ``validate_pairs``);
+    ``exchange`` — which one serves which need:
+    - "shuffle" (default): groupby hash shuffle + per-partition LWW collapse
+      before the staged write (read-optimized deltas). Required for strict
+      ``validate_pairs``, which must see every image of a key in one task;
+      with ``validate_pairs=False`` each batch is partially collapsed before
+      the shuffle. The replay benchmark's ``connector_strict`` workload
+      measures this path.
     - "write": no all-to-all — map tasks write partition-clustered fragment
       files directly; collapse happens at read/compaction (write-optimized,
-      5x+ faster per window on plasma-bound hosts; fast path only).
+      5x+ faster per window on plasma-bound hosts; fast path only). The
+      ``long_horizon`` workload and the ``bench.py`` headline measure it.
+
+    Every phase that changes table state (snapshot, incremental chunk,
+    stream window, compaction, schema-only watermark) goes through
+    ``_commit``: one window id, one staging job, one manifest commit.
     """
 
     out_dir: str
     num_partitions: int = 32
     salt: int = 1
     validate_pairs: bool = True
-    combiner: bool = True  # per-batch partial LWW before the shuffle
     table_name: str = "transcripts"
     #: the table's primary key — last-writer-wins identity, hash-partition
     #: key (first column; the second sub-partitions under salt). The
@@ -329,7 +334,9 @@ class CdcEngine:
         return SchemaHistory(self.out_dir)
 
     def _record_schema(self, kind: str, lsn: Lsn, arrow_schema: pa.Schema) -> None:
-        payload = pa.schema([f for f in arrow_schema if f.name not in META_SET])
+        payload = pa.schema(
+            [f for f in arrow_schema if f.name not in META_SET and f.name != PART_COL]
+        )
         hist = self.schema_history
         if kind == "ALTER":
             prev = hist.schema_at(self.table_name, lsn)
@@ -399,49 +406,28 @@ class CdcEngine:
         locking = resolve_locking_mode(locking_mode)
         if not replace:
             self._check_partitioning()
-        wid = next_window_id(self.out_dir)
-        delta_dir = os.path.join(self.out_dir, f"delta/w={wid:06d}")
-        fence = snapshot_lsn
         self.notifications.emit(
             "Initial Snapshot", "STARTED",
             {"table": self.table_name, "snapshot_lsn": snapshot_lsn.hex(),
              "replace": replace, "isolation_mode": isolation,
              "locking_mode": locking},
         )
-
         tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
-
-        def to_events(batch: pa.Table) -> pa.Table:
-            return tagger(snapshot_as_events(batch, fence))
-
-        ds = (
-            lake.map_batches(to_events, batch_format="pyarrow", batch_size=self.batch_size)
-            .groupby(PART_COL)
-            .map_groups(
-                staged_writer(delta_dir, validate_pairs=False,
-                              key_columns=self.key_columns),
-                batch_format="pyarrow"
-            )
+        m = self._commit(
+            "snapshot_replace" if replace else "snapshot",
+            self._staged(
+                lake, lambda batch: tagger(snapshot_as_events(batch, snapshot_lsn))
+            ),
+            to_lsn=snapshot_lsn,
+            # CREATE schema event at snapshot, as the reference emits one DDL
+            # record per captured table (SchemaHistoryTopicIT.java:96-111)
+            schema_event=("CREATE", snapshot_lsn),
         )
-        rows = ds.take_all()
-        m = WindowManifest(
-            window_id=wid,
-            kind="snapshot_replace" if replace else "snapshot",
-            from_lsn=None,
-            to_lsn=snapshot_lsn.hex(),
-            snapshot_completed=True,
-            partitions=self._lineage(rows),
-            partitioning=self._partitioning(),
-        )
-        commit_manifest(self.out_dir, m)
         self.notifications.emit(
             "Initial Snapshot", "COMPLETED",
-            {"table": self.table_name, "window_id": wid,
+            {"table": self.table_name, "window_id": m.window_id,
              "rows": sum(p["rows"] for p in m.partitions.values())},
         )
-        # CREATE schema event at snapshot, as the reference emits one DDL
-        # record per captured table (SchemaHistoryTopicIT.java:96-111)
-        self._record_schema("CREATE", snapshot_lsn, _arrow_schema(lake))
         return m
 
     def snapshot_in_progress(self) -> bool:
@@ -477,40 +463,31 @@ class CdcEngine:
         snap = resolve_snapshotter(mode)
         offset_exists = committed_watermark(self.out_dir) is not None
         in_progress = self.snapshot_in_progress()
-        if snap.should_snapshot_schema(offset_exists, in_progress):
-            try:
-                self._record_schema("CREATE", snapshot_lsn, _arrow_schema(lake))
-            except Exception:
-                pass  # schema introspection is best-effort lineage
+        try:
+            lake_schema = _arrow_schema(lake)
+        except Exception:
+            lake_schema = None  # a schemaless (empty) lake: no CREATE lineage
+        names = list(lake_schema.names) if lake_schema is not None else []
+        if lake_schema is not None and snap.should_snapshot_schema(
+            offset_exists, in_progress
+        ):
+            self._record_schema("CREATE", snapshot_lsn, lake_schema)
         take_data = snap.should_snapshot_data(offset_exists, in_progress)
         if not take_data and offset_exists and in_progress:
             # offsets exist but the prior snapshot never completed — the
             # data-error condition the snapshot.on.data.error flag governs
             take_data = snap.should_snapshot_on_data_error()
         if take_data:
-            cols = snap.snapshot_projection(
-                self.table_name, list(_arrow_schema(lake).names)
-            )
+            cols = snap.snapshot_projection(self.table_name, names)
             if cols is not None:
                 ds = lake
-                if list(cols) != list(_arrow_schema(lake).names):
+                if list(cols) != names:
                     ds = lake.select_columns(list(cols))
                 return self.snapshot(ds, snapshot_lsn, replace=snap.replace)
         if offset_exists:
             return None  # nothing to do — resume from the existing offset
         # no data read: commit the watermark-only manifest (schema_only)
-        wid = next_window_id(self.out_dir)
-        m = WindowManifest(
-            window_id=wid,
-            kind="schema_only",
-            from_lsn=None,
-            to_lsn=snapshot_lsn.hex(),
-            snapshot_completed=True,
-            partitions={},
-            partitioning=self._partitioning(),
-        )
-        commit_manifest(self.out_dir, m)
-        return m
+        return self._commit("schema_only", to_lsn=snapshot_lsn)
 
     def incremental_snapshot(
         self,
@@ -539,7 +516,6 @@ class CdcEngine:
         # check (same rule committed_watermark follows)
         done_kinds = {m.kind for m in _live_manifests(self.out_dir)}
         tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
-        fence = snapshot_lsn
         out = []
         prefix = f"snapshot_chunk:{tag}:" if tag else "snapshot_chunk:"
         for c in range(n_chunks):
@@ -550,39 +526,21 @@ class CdcEngine:
                 break  # interleave with streaming windows; resume later
             lo_p = c * self.num_partitions // n_chunks
             hi_p = (c + 1) * self.num_partitions // n_chunks
-            wid = next_window_id(self.out_dir)
-            delta_dir = os.path.join(self.out_dir, f"delta/w={wid:06d}")
 
             def chunk_prep(batch: pa.Table, lo_p=lo_p, hi_p=hi_p) -> pa.Table:
-                t = tagger(snapshot_as_events(batch, fence))
+                t = tagger(snapshot_as_events(batch, snapshot_lsn))
                 pid = t[PART_COL].to_numpy(zero_copy_only=False)
                 return t.filter(pa.array((pid >= lo_p) & (pid < hi_p)))
 
-            rows = (
-                lake.map_batches(chunk_prep, batch_format="pyarrow", batch_size=self.batch_size)
-                .groupby(PART_COL)
-                .map_groups(
-                    staged_writer(delta_dir, validate_pairs=False,
-                                  key_columns=self.key_columns),
-                    batch_format="pyarrow",
-                )
-                .take_all()
-            )
-            m = WindowManifest(
-                window_id=wid,
-                kind=kind,
-                from_lsn=None,
-                to_lsn=snapshot_lsn.hex(),
+            m = self._commit(
+                kind, self._staged(lake, chunk_prep), to_lsn=snapshot_lsn,
                 snapshot_completed=(c == n_chunks - 1),
-                partitions=self._lineage(rows),
-                partitioning=self._partitioning(),
             )
-            commit_manifest(self.out_dir, m)
             self.notifications.emit(
                 "Incremental Snapshot",
                 "COMPLETED" if c == n_chunks - 1 else "IN_PROGRESS",
                 {"table": self.table_name, "chunk": c, "n_chunks": n_chunks,
-                 "tag": tag, "window_id": wid},
+                 "tag": tag, "window_id": m.window_id},
             )
             out.append(m)
         return out
@@ -744,72 +702,41 @@ class CdcEngine:
         if wm is not None and to_lsn <= wm:
             return None  # already applied — resume skip
         self._check_partitioning()
-        wid = next_window_id(self.out_dir)
-        delta_dir = os.path.join(self.out_dir, f"delta/w={wid:06d}")
-
-        lo, hi = from_lsn, to_lsn
         inclusive_low = not snapshot_completed  # un-incremented first window
         tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
-        use_combiner = (self.combiner and not self.validate_pairs) or (
-            self.exchange == "write"
-        )
+        keys = self.key_columns
+        # partial collapse bounds shuffle volume by touched keys; strict pair
+        # validation needs every image in its partition task, and the write
+        # exchange's fragment_writer collapses on its own
+        collapse = self.exchange == "shuffle" and not self.validate_pairs
 
-        def window_prep(batch: pa.Table) -> pa.Table:
-            """Fused window filter + partition tag + optional partial LWW
-            collapse — one pass per (large) batch."""
-            chi = batch["commit_lsn_hi"].to_numpy(zero_copy_only=False)
-            clo = batch["commit_lsn_lo"].to_numpy(zero_copy_only=False)
-            above = (chi > lo.hi) | ((chi == lo.hi) & (clo > lo.lo))
-            if inclusive_low:
-                above |= (chi == lo.hi) & (clo == lo.lo)
-            below = (chi < hi.hi) | ((chi == hi.hi) & (clo <= hi.lo))
-            if not (above & below).all():
-                batch = batch.filter(pa.array(above & below))
-            batch = tagger(batch)
-            if use_combiner and self.exchange != "write":
-                # partial collapse bounds shuffle volume by touched keys
-                # (fragment_writer does its own collapse in write mode)
+        def prep(batch: pa.Table) -> pa.Table:
+            batch = tagger(commit_range_filter(
+                batch, from_lsn, to_lsn, low_inclusive=inclusive_low
+            ))
+            if collapse:
                 batch = lww_collapse(batch, validate_pairs=False, partial=True,
-                                     key_columns=self.key_columns)
+                                     key_columns=keys)
             return batch
 
         if self.exchange == "write":
-            writer = fragment_writer(delta_dir, key_columns=self.key_columns)
-
-            def prep_write(batch: pa.Table) -> pa.Table:
-                return writer(window_prep(batch))
-
-            rows = changelog.map_batches(
-                prep_write, batch_format="pyarrow", batch_size=self.batch_size
-            ).take_all()
+            def stage(delta_dir: str) -> list[dict]:
+                writer = fragment_writer(delta_dir, key_columns=keys)
+                return changelog.map_batches(
+                    lambda batch: writer(prep(batch)),
+                    batch_format="pyarrow", batch_size=self.batch_size,
+                ).take_all()
         else:
-            ds = changelog.map_batches(
-                window_prep, batch_format="pyarrow", batch_size=self.batch_size
-            )
-            ds = ds.groupby(PART_COL).map_groups(
-                staged_writer(delta_dir, validate_pairs=self.validate_pairs,
-                              key_columns=self.key_columns),
-                batch_format="pyarrow",
-            )
-            rows = ds.take_all()
-        m = WindowManifest(
-            window_id=wid,
-            kind="stream",
-            from_lsn=from_lsn.hex(),
-            to_lsn=to_lsn.hex(),
+            stage = self._staged(changelog, prep, validate_pairs=self.validate_pairs)
+        m = self._commit(
+            "stream", stage, from_lsn=from_lsn, to_lsn=to_lsn,
             snapshot_completed=snapshot_completed,
-            partitions=self._lineage(rows),
-            partitioning=self._partitioning(),
             resume_position=resume_position,
+            # ALTER schema event when this window's payload schema differs
+            # from the governing one (capture-instance switch,
+            # Db2StreamingChangeEventSource.java:324-336)
+            schema_event=("ALTER", from_lsn),
         )
-        commit_manifest(self.out_dir, m)
-        # ALTER schema event when this window's payload schema differs from
-        # the governing one (capture-instance switch,
-        # Db2StreamingChangeEventSource.java:324-336)
-        try:
-            self._record_schema("ALTER", from_lsn, _arrow_schema(changelog))
-        except Exception:
-            pass  # schema introspection is best-effort lineage, never fatal
         if self.auto_compact:
             from debezium_connector_db2_ray.metrics import read_amplification
 
@@ -976,62 +903,103 @@ class CdcEngine:
         to change partitioning (e.g. after metrics.suggest_salt), construct
         the engine with the new settings and run compact() before replaying
         further windows."""
-        wid = next_window_id(self.out_dir)
-        delta_dir = os.path.join(self.out_dir, f"delta/w={wid:06d}")
-        wm = committed_watermark(self.out_dir)
         by_part = partition_files(self.out_dir)
         items = [{"partition": k, "files": v} for k, v in sorted(by_part.items())]
         tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
-
         keys = self.key_columns
         fill = self._default_fill()
 
-        def compact_partition(batch: pa.Table) -> pa.Table:
-            out = []
-            writer = fragment_writer(delta_dir, key_columns=self.key_columns)
-            for row in batch.to_pylist():
-                t = read_partition_table(
-                    row["files"], row["partition"], default_fill=fill
-                )
-                if t is None:
-                    continue
-                collapsed = lww_collapse(
-                    t.drop_columns([PART_COL]), validate_pairs=False,
-                    key_columns=keys,
-                )
-                if collapsed.num_rows:
-                    collapsed = collapsed.filter(
-                        pc.not_equal(collapsed["op"], OP_DELETE)
+        def stage(delta_dir: str) -> list[dict]:
+            def compact_partition(batch: pa.Table) -> pa.Table:
+                out = []
+                writer = fragment_writer(delta_dir, key_columns=keys)
+                for row in batch.to_pylist():
+                    t = read_partition_table(
+                        row["files"], row["partition"], default_fill=fill
                     )
-                if collapsed.num_rows == 0:
-                    continue
-                out.append(writer(tagger(collapsed)))
-            if not out:
-                return _MANIFEST_ROW_SCHEMA.empty_table()
-            return pa.concat_tables(out)
+                    if t is None:
+                        continue
+                    collapsed = final_state(lww_collapse(
+                        t.drop_columns([PART_COL]), validate_pairs=False,
+                        key_columns=keys,
+                    ), keep_meta=True)
+                    if collapsed.num_rows:
+                        out.append(writer(tagger(collapsed)))
+                if not out:
+                    return _MANIFEST_ROW_SCHEMA.empty_table()
+                return pa.concat_tables(out)
 
-        rows = (
-            ray.data.from_items(items)
-            .map_batches(compact_partition, batch_format="pyarrow", batch_size=1)
-            .take_all()
+            return (
+                ray.data.from_items(items)
+                .map_batches(compact_partition, batch_format="pyarrow", batch_size=1)
+                .take_all()
+            )
+
+        m = self._commit(
+            "compaction", stage, to_lsn=committed_watermark(self.out_dir)
         )
-        m = WindowManifest(
-            window_id=wid,
-            kind="compaction",
-            from_lsn=None,
-            to_lsn=wm.hex() if wm else None,
-            snapshot_completed=True,
-            partitions=self._lineage(rows),
-            partitioning=self._partitioning(),
-        )
-        commit_manifest(self.out_dir, m)
         self.notifications.emit(
             "Compaction", "COMPLETED",
-            {"table": self.table_name, "window_id": wid},
+            {"table": self.table_name, "window_id": m.window_id},
         )
         return m
 
-    # ---- helpers ----------------------------------------------------------
+    # ---- the one write-and-commit path ------------------------------------
+
+    def _staged(self, ds: "ray.data.Dataset", prep, *, validate_pairs: bool = False):
+        """Stage fn for the shuffle sink: ``prep`` each batch (it must add
+        ``PART_COL``), hash-shuffle on the partition and LWW-collapse + write
+        one file per partition (``staged_writer``)."""
+
+        def stage(delta_dir: str) -> list[dict]:
+            return (
+                ds.map_batches(prep, batch_format="pyarrow", batch_size=self.batch_size)
+                .groupby(PART_COL)
+                .map_groups(
+                    staged_writer(delta_dir, validate_pairs=validate_pairs,
+                                  key_columns=self.key_columns),
+                    batch_format="pyarrow",
+                )
+                .take_all()
+            )
+
+        return stage
+
+    def _commit(
+        self,
+        kind: str,
+        stage=None,
+        *,
+        to_lsn: Lsn | None,
+        from_lsn: Lsn | None = None,
+        snapshot_completed: bool = True,
+        resume_position: dict | None = None,
+        schema_event: tuple[str, Lsn] | None = None,
+    ) -> WindowManifest:
+        """Every state change: take the next window id, run ``stage(delta_dir)``
+        (the Ray job that stages this window's files under
+        ``delta/w=NNNNNN`` and returns their manifest rows; None stages
+        nothing), then commit the manifest — its rename is the one commit
+        point. ``schema_event`` = (CREATE|ALTER, lsn) records the payload
+        schema read from a staged file's footer BEFORE the commit (no Ray
+        job; a failed history write raises and the window stays
+        uncommitted — re-running it re-records idempotently)."""
+        wid = next_window_id(self.out_dir)
+        rows = stage(os.path.join(self.out_dir, f"delta/w={wid:06d}")) if stage else []
+        if schema_event is not None and rows:
+            self._record_schema(*schema_event, pq.read_schema(rows[0]["file"]))
+        m = WindowManifest(
+            window_id=wid,
+            kind=kind,
+            from_lsn=from_lsn.hex() if from_lsn is not None else None,
+            to_lsn=to_lsn.hex() if to_lsn is not None else None,
+            snapshot_completed=snapshot_completed,
+            partitions=self._lineage(rows),
+            partitioning=self._partitioning(),
+            resume_position=resume_position,
+        )
+        commit_manifest(self.out_dir, m)
+        return m
 
     @staticmethod
     def _lineage(rows: list[dict]) -> dict[str, dict]:
@@ -1089,10 +1057,7 @@ def apply_dataset(
     (conv_id), a conversation is always entirely inside one kernel call,
     so conversation-level folds ride the apply exchange with ZERO
     additional shuffle at any corpus size."""
-    from debezium_connector_db2_ray.stages.apply import fence_filter
-
     fence = snapshot_lsn
-
     target: pa.Schema | None = None
     if snapshot is not None:
         # additive schema unification up front so the unioned stream is
@@ -1111,17 +1076,16 @@ def apply_dataset(
 
     if combiner and validate_pairs:
         raise ValueError("combiner requires validate_pairs=False")
-    tagger = tag_partitions(num_partitions, salt)
-    from debezium_connector_db2_ray.schema import KEY_COLUMNS
-
     keys = tuple(key_columns) if key_columns else KEY_COLUMNS
+    tagger = tag_partitions(num_partitions, salt, keys)
+
+    def conform(batch: pa.Table) -> pa.Table:
+        return batch if target is None else conform_table(batch, target)
 
     def prep(batch: pa.Table) -> pa.Table:
         if fence is not None:
             batch = fence_filter(batch, fence)
-        if target is not None:
-            batch = conform_table(batch, target)
-        batch = tagger(batch)
+        batch = tagger(conform(batch))
         if combiner:
             batch = lww_collapse(
                 batch, validate_pairs=False, partial=True, key_columns=keys
@@ -1134,10 +1098,7 @@ def apply_dataset(
             raise ValueError("snapshot requires snapshot_lsn")
 
         def snap_prep(batch: pa.Table) -> pa.Table:
-            batch = snapshot_as_events(batch, fence)
-            if target is not None:
-                batch = conform_table(batch, target)
-            return tagger(batch)
+            return tagger(conform(snapshot_as_events(batch, fence)))
 
         ds = ds.union(
             snapshot.map_batches(snap_prep, batch_format="pyarrow", batch_size=batch_size)
@@ -1175,7 +1136,7 @@ def _window_resume_position(
     multi-segment windows return None."""
     if lo.hi != hi.hi:
         return None
-    lo_v, hi_v = lo.lo, hi.lo
+    hi_v = hi.lo
 
     import pyarrow.dataset as pads
 
@@ -1207,9 +1168,7 @@ def _window_resume_position(
         t = f.read_row_group(rg_idx, columns=_LSN_COLS)
         chi = t["commit_lsn_hi"].to_numpy(zero_copy_only=False).astype(np.uint64)
         clo = t["commit_lsn_lo"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        in_w = (chi == lo.hi) & (
-            (clo >= lo_v) if inclusive_low else (clo > lo_v)
-        ) & (clo <= hi_v)
+        in_w = lsn_range_mask(chi, clo, lo, hi, low_inclusive=inclusive_low)
         if not in_w.any():
             continue
         order = np.lexsort((clo[in_w], chi[in_w]))

@@ -32,7 +32,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from debezium_connector_db2_ray.lsn import Lsn
+from debezium_connector_db2_ray.lsn import Lsn, lsn_range_mask
 from debezium_connector_db2_ray.ops import (
     OP_DELETE,
     OP_READ,
@@ -274,6 +274,29 @@ def _take_arr(col, indices):
     return col.take(indices if isinstance(indices, pa.Array) else pa.array(indices))
 
 
+def commit_range_filter(
+    table: pa.Table,
+    low: Lsn | None = None,
+    high: Lsn | None = None,
+    *,
+    low_inclusive: bool = False,
+    high_inclusive: bool = True,
+) -> pa.Table:
+    """Keep rows whose commit LSN lies in ``(low, high]`` (bounds and
+    inclusivity as in ``lsn_range_mask``); returns ``table`` itself when
+    every row is kept. NULL-LSN rows never survive a bounded filter."""
+    if table.num_rows == 0:
+        return table
+    keep = lsn_range_mask(
+        table["commit_lsn_hi"].to_numpy(zero_copy_only=False),
+        table["commit_lsn_lo"].to_numpy(zero_copy_only=False),
+        low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive,
+    )
+    if keep.all():
+        return table
+    return table.filter(pa.array(keep))
+
+
 def fence_filter(
     table: pa.Table, snapshot_lsn: Lsn, *, snapshot_completed: bool = True
 ) -> pa.Table:
@@ -281,14 +304,9 @@ def fence_filter(
     ONLY once the snapshot completed; an incomplete snapshot replays from the
     un-incremented watermark (reference shouldIncreaseFromLsn,
     Db2StreamingChangeEventSource.java:129-131,157-160)."""
-    if not snapshot_completed or table.num_rows == 0:
+    if not snapshot_completed:
         return table
-    chi = table["commit_lsn_hi"].to_numpy(zero_copy_only=False)
-    clo = table["commit_lsn_lo"].to_numpy(zero_copy_only=False)
-    keep = (chi > snapshot_lsn.hi) | ((chi == snapshot_lsn.hi) & (clo > snapshot_lsn.lo))
-    if keep.all():
-        return table
-    return table.filter(pa.array(keep))
+    return commit_range_filter(table, low=snapshot_lsn)
 
 
 def stop_lsn_fence(table: pa.Table, stop_lsn: Lsn) -> pa.Table:
@@ -298,14 +316,7 @@ def stop_lsn_fence(table: pa.Table, stop_lsn: Lsn) -> pa.Table:
     stopLsn (reference: Db2StreamingChangeEventSource.java:224-239; the z/OS
     escape hatch config at Db2ConnectorConfig.java:399-406 corresponds to
     simply not calling this)."""
-    if table.num_rows == 0:
-        return table
-    chi = table["commit_lsn_hi"].to_numpy(zero_copy_only=False)
-    clo = table["commit_lsn_lo"].to_numpy(zero_copy_only=False)
-    keep = (chi < stop_lsn.hi) | ((chi == stop_lsn.hi) & (clo < stop_lsn.lo))
-    if keep.all():
-        return table
-    return table.filter(pa.array(keep))
+    return commit_range_filter(table, high=stop_lsn, high_inclusive=False)
 
 
 SYSTEM_TABLE_PREFIXES = ("ibmsnap_", "ibmqrep_", "asncdc.", "systools.")
@@ -335,11 +346,10 @@ def offset_skip(
     clo = table["commit_lsn_lo"].to_numpy(zero_copy_only=False)
     ihi = table["intent_lsn_hi"].to_numpy(zero_copy_only=False)
     ilo = table["intent_lsn_lo"].to_numpy(zero_copy_only=False)
-    oc, oi = offset_commit, offset_intent
-    below = (chi < oc.hi) | ((chi == oc.hi) & (clo < oc.lo))
-    at = (chi == oc.hi) & (clo == oc.lo)
-    intent_le = (ihi < oi.hi) | ((ihi == oi.hi) & (ilo <= oi.lo))
-    drop = below | (at & intent_le)
+    oc = offset_commit
+    below = lsn_range_mask(chi, clo, high=oc, high_inclusive=False)
+    at = lsn_range_mask(chi, clo, oc, oc, low_inclusive=True)
+    drop = below | (at & lsn_range_mask(ihi, ilo, high=offset_intent))
     # serial refinement: within the offset commit, serial numbers beyond the
     # saved one replay (mid-transaction restart, Db2ConnectorIT.java:549-714)
     if offset_serial and at.any():

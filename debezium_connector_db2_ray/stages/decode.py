@@ -26,7 +26,6 @@ import pyarrow.parquet as pq
 
 from debezium_connector_db2_ray.lsn import position_order
 from debezium_connector_db2_ray.ops import (
-    ENVELOPE_OP,
     OP_DELETE,
     OP_INSERT,
     OP_UPDATE_AFTER,
@@ -198,17 +197,3 @@ def classify_parquet_stream(path, *, groups_per_task: int = 4,
     return ray.data.from_items(items).map_batches(
         classify_range, batch_format="pyarrow", batch_size=1
     )
-
-
-def envelope_op_column(op: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """Map raw int8 opcodes to Debezium envelope op chars 'r'/'c'/'u'/'d'
-    (reference: Db2ChangeRecordEmitter.java:39-54). Unknown codes raise, like
-    the reference's default branch."""
-    codes = np.asarray(op.to_numpy(zero_copy_only=False) if hasattr(op, "to_numpy") else op)
-    lut = np.full(16, "", dtype="U1")
-    for k, v in ENVELOPE_OP.items():
-        lut[k] = v
-    if codes.min(initial=0) < 0 or codes.max(initial=0) > 5:
-        bad = set(codes[(codes < 0) | (codes > 5)].tolist())
-        raise ValueError(f"unexpected operation codes: {bad}")
-    return pa.array(lut[codes], pa.string())

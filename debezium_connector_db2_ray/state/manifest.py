@@ -159,14 +159,11 @@ def partition_files(out_dir: str) -> dict[int, list[str]]:
     write-exchange sink a fragment file holds several partitions' row groups
     (clustered + pruned by the ``__part`` column at read); it is listed under
     each partition it contains."""
-    out: dict[int, list[str]] = {}
+    seen: dict[int, dict[str, None]] = {}  # insertion-ordered file sets
     for m in _live_manifests(out_dir):
         for pid, p in m.partitions.items():
-            lst = out.setdefault(int(pid), [])
-            for f in p["files"]:
-                if f not in lst:
-                    lst.append(f)
-    return out
+            seen.setdefault(int(pid), {}).update(dict.fromkeys(p["files"]))
+    return {pid: list(files) for pid, files in seen.items()}
 
 
 def resume_offset(out_dir: str) -> dict[str, Any] | None:

@@ -6,6 +6,7 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from debezium_connector_db2_ray.lsn import Lsn
 from debezium_connector_db2_ray.ops import OP_INSERT, OP_UPDATE_SINGLE
@@ -170,3 +171,69 @@ def test_alter_with_default_backfills_typed_values(ray_session, tmp_path):
     got2 = eng.state_dataset().to_pandas().sort_values("conv_id").reset_index(drop=True)
     assert list(got2["priority"]) == [5, 5, 9]
     assert list(got2["label"]) == ["ab  ", "ab  ", "xyz "]
+
+
+_WITH_LANG = PAYLOAD_SCHEMA.append(pa.field("lang", pa.string()))
+_LANG_ROWS = [
+    (1002, OP_INSERT, "conv_000001", 7, "user", "w2-new", None, 0, "en"),
+    (1003, OP_UPDATE_SINGLE, "conv_000002", 1, "user", "w2-upd", None, 0, "fr"),
+]
+
+
+@pytest.mark.parametrize("exchange", ["shuffle", "write"])
+def test_window_alter_recorded_without_dataset_schema_probe(
+    ray_session, tmp_path, monkeypatch, exchange
+):
+    """The ALTER is read from a staged file's footer: neither the snapshot
+    nor a map_batches-derived (routed) window runs a Dataset.schema() job."""
+    import ray.data as rd
+
+    real_schema = rd.Dataset.schema
+
+    def no_probe(self, fetch_if_missing=True):
+        if fetch_if_missing:
+            raise AssertionError("Dataset.schema() would run a Ray job")
+        return real_schema(self, fetch_if_missing=False)
+
+    monkeypatch.setattr(rd.Dataset, "schema", no_probe)
+    eng = CdcEngine(out_dir=str(tmp_path / "t"), num_partitions=4,
+                    exchange=exchange, validate_pairs=exchange == "shuffle")
+    snap = Lsn(0, 1000)
+    eng.snapshot(rd.from_arrow(generate_lake(6, 3, seed=71)), snap)
+    window = rd.from_arrow(_mk_window(_LANG_ROWS, _WITH_LANG)).map_batches(
+        lambda b: b, batch_format="pyarrow"
+    )
+    m = eng.replay_window(window, snap, Lsn(0, 1003))
+
+    assert m is not None and sum(p["rows"] for p in m.partitions.values()) == 2
+    hist = eng.schema_history
+    assert [r["kind"] for r in hist._records] == ["CREATE", "ALTER"]
+    latest = hist.boundaries("transcripts")[-1][1]
+    assert latest.names == _WITH_LANG.names  # no meta or __part columns
+
+
+def test_failed_schema_history_write_raises(ray_session, tmp_path, monkeypatch):
+    """A history write that fails propagates out of replay_window, before
+    the commit: the window stays uncommitted and a re-run records it."""
+    import ray.data as rd
+
+    from debezium_connector_db2_ray.state.manifest import committed_watermark
+    from debezium_connector_db2_ray.state.schema_log import SchemaHistory
+
+    out = str(tmp_path / "t")
+    eng = CdcEngine(out_dir=out, num_partitions=2)
+    snap = Lsn(0, 1000)
+    eng.snapshot(rd.from_arrow(generate_lake(6, 3, seed=71)), snap)
+
+    def broken(self, *args, **kwargs):
+        raise OSError("schema history unwritable")
+
+    monkeypatch.setattr(SchemaHistory, "record", broken)
+    window = rd.from_arrow(_mk_window(_LANG_ROWS, _WITH_LANG))
+    with pytest.raises(OSError, match="schema history unwritable"):
+        eng.replay_window(window, snap, Lsn(0, 1003))
+    assert committed_watermark(out) == snap
+
+    monkeypatch.undo()
+    assert eng.replay_window(window, snap, Lsn(0, 1003)) is not None
+    assert [r["kind"] for r in eng.schema_history._records] == ["CREATE", "ALTER"]

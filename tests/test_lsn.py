@@ -9,6 +9,7 @@ from debezium_connector_db2_ray.lsn import (
     lsn_from_hex,
     lsn_hex,
     lsn_increment,
+    lsn_range_mask,
     position_order,
 )
 
@@ -58,3 +59,38 @@ def test_position_order_commit_major():
     ilo = np.array([1, 9, 2, 0], np.uint64)
     order = position_order(chi, clo, ihi, ilo)
     assert order.tolist() == [2, 1, 3, 0]
+
+
+_CARRY = Lsn(3, U64_MAX)  # +1 carries into the high half
+
+
+@pytest.mark.parametrize("low_inclusive", [False, True])
+@pytest.mark.parametrize("high_inclusive", [True, False])
+@pytest.mark.parametrize(
+    "low,high",
+    [
+        (Lsn(5, 10), Lsn(5, 20)),  # equal hi: the lo halves decide
+        (_CARRY, _CARRY.increment()),  # bounds straddle a lo carry
+        (Lsn(0, 2**63), Lsn(2**63, 1)),  # high-bit values compare unsigned
+        (None, _CARRY),
+        (_CARRY, None),
+    ],
+)
+def test_lsn_range_mask_matches_scalar_compare(low, high, low_inclusive, high_inclusive):
+    top = (U64_MAX << 64) | U64_MAX
+    pts = {0, top}
+    for b in (low, high):
+        if b is not None:
+            pts |= {min(max(b.to_int() + d, 0), top) for d in (-1, 0, 1)}
+    pts = [Lsn.from_int(v) for v in sorted(pts)]
+    got = lsn_range_mask(
+        np.array([p.hi for p in pts], np.uint64),
+        np.array([p.lo for p in pts], np.uint64),
+        low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive,
+    )
+    want = [
+        (low is None or p > low or (low_inclusive and p == low))
+        and (high is None or p < high or (high_inclusive and p == high))
+        for p in pts
+    ]
+    assert got.tolist() == want
