@@ -1,15 +1,13 @@
 """Deduplication operators: exact, MinHash+LSH, SimHash, n-gram Jaccard.
 
 Scale shapes (100 TB design):
-- exact: vectorized 64-bit content hash per batch -> ONE hash-partition
-  exchange on `hash % P` -> partition-local sort + adjacent-compare keeps
-  the min-id row per distinct text (the hash only routes; a collision
-  cannot merge distinct texts). Shuffle key is uniform — no skew, and no
-  per-group UDF calls: every exchange in this module groups on a LOW-
-  cardinality `__part` code and handles all of a partition's groups in one
-  vectorized kernel (Ray's sort-groupby pays ~26 us/row of per-group
-  overhead at high key cardinality — measured, see
-  relational.grouped_aggregate).
+- exact: ONE ``exchange`` on the text's hash -> partition-local sort +
+  adjacent-compare keeps the min-id row per distinct text (the hash only
+  routes; a collision cannot merge distinct texts). Shuffle key is
+  uniform — no skew, and no per-group UDF calls: every exchange in this
+  module handles all of a partition's groups in one vectorized kernel
+  (Ray's sort-groupby pays ~26 us/row of per-group overhead at high key
+  cardinality — measured, see relational.grouped_aggregate).
 - MinHash LSH: per batch tokenize (one Arrow/polars regex pass) -> hash every
   token (one vectorized xxhash pass) -> k-gram shingle hashes via a rolling
   polynomial over token hashes (numpy, no per-row Python) -> signatures via
@@ -32,6 +30,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from debezium_connector_db2_ray.functions.exchange import (
+    exchange,
+    hash_part,
+    side_schema,
+)
 
 MERSENNE = np.uint64((1 << 61) - 1)
 U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -165,37 +169,17 @@ class ShingleSets:
 
 
 # ---------------------------------------------------------------------------
-# hash-partition exchange helpers
+# exchange helpers
 #
 # Every dedup stage that used to be `groupby(high-cardinality key)` +
-# `map_groups(per-group fn)` is instead `groupby(__part)` + a VECTORIZED
-# partition-local kernel: Ray's sort-based groupby pays per-group scheduling
-# overhead (~26 us/row measured on a 3.2M-group shape — see
-# relational.grouped_aggregate), so at corpus scale the per-group UDF call
-# count, not the data, dominates. Hash codes co-locate equal keys; the
-# kernel then handles ALL of its partition's groups in numpy/Arrow at once.
+# `map_groups(per-group fn)` is instead one ``functions.exchange.exchange``
+# on ``hash_part(key)`` + a VECTORIZED partition-local kernel: Ray's
+# sort-based groupby pays per-group scheduling overhead (~26 us/row measured
+# on a 3.2M-group shape — see relational.grouped_aggregate), so at corpus
+# scale the per-group UDF call count, not the data, dominates. Hash codes
+# co-locate equal keys; the kernel then handles ALL of its partition's
+# groups in numpy/Arrow at once.
 # ---------------------------------------------------------------------------
-
-_MIX_A = np.uint64(0x9E3779B97F4A7C15)
-_MIX_B = np.uint64(0xC2B2AE3D27D4EB4F)
-
-
-def _mix_part(P: int, *cols: np.ndarray) -> np.ndarray:
-    """int32 partition codes from one or more integer key columns (mixed so
-    sequential ids and band numbers spread uniformly). Array-level sibling
-    of relational._partition_codes (the table-level helper with per-type
-    dispatch) — use that one when starting from an Arrow table / mixed key
-    types; this one when the kernel already holds numpy integer arrays."""
-    with np.errstate(over="ignore"):
-        h = np.zeros(len(cols[0]), np.uint64)
-        for i, c in enumerate(cols):
-            v = c.astype(np.uint64) * (_MIX_A if i % 2 == 0 else _MIX_B)
-            h = (h << np.uint64(7)) ^ (h >> np.uint64(57)) ^ v
-        h ^= h >> np.uint64(33)
-        h *= _MIX_A
-        h ^= h >> np.uint64(29)
-    return (h % np.uint64(P)).astype(np.int32)
-
 
 def _np_col(t: pa.Table, name: str) -> np.ndarray:
     return t[name].to_numpy(zero_copy_only=False)
@@ -216,35 +200,18 @@ def pairs_distinct(pairs, schema: pa.Schema, *, num_partitions: int | None = Non
     ``schema`` pins the output layout (needed for empty partitions)."""
     if num_partitions is None:
         num_partitions = _default_partitions(pairs)
-    P = num_partitions
-    names = [f.name for f in schema]
-
-    def tag(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return schema.empty_table().append_column(
-                "__part", pa.array([], pa.int32())
-            )
-        return t.append_column(
-            "__part",
-            pa.array(_mix_part(P, _np_col(t, "a"), _np_col(t, "b"))),
-        )
 
     def distinct(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0 or "a" not in part.column_names:
-            return schema.empty_table()
         aa = _np_col(part, "a").astype(np.int64)
         bb = _np_col(part, "b").astype(np.int64)
         order = np.lexsort((bb, aa))
         ao, bo = aa[order], bb[order]
         keep = np.ones(len(order), bool)
         keep[1:] = (ao[1:] != ao[:-1]) | (bo[1:] != bo[:-1])
-        return part.take(pa.array(order[keep], pa.int64())).select(names)
+        return part.take(pa.array(order[keep], pa.int64()))
 
-    return (
-        pairs.map_batches(tag, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(distinct, batch_format="pyarrow")
-    )
+    return exchange([pairs], hash_part(["a", "b"], num_partitions), distinct,
+                    schema, schemas=[schema])
 
 
 # ---------------------------------------------------------------------------
@@ -258,31 +225,13 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
     decision compares the actual texts, so a hash collision can never merge
     two distinct documents. Returns the deduped Dataset (original columns).
 
-    Shape: ONE hash exchange on `hash(text) % P`, then a partition-local
+    Shape: ONE ``exchange`` on ``hash_part(text)``, then a partition-local
     sort + adjacent-compare keeps the min-id row per distinct text — all of
     a partition's groups in one vectorized pass (no per-group UDF calls)."""
     if num_partitions is None:
         num_partitions = _default_partitions(ds)
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        from debezium_connector_db2_ray.polars_compat import import_polars
-        pl = import_polars()
-
-        col = batch[text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        s = pl.from_arrow(pc.coalesce(col, pa.scalar("", pa.string())))
-        h = s.hash(seed=3).to_numpy().astype(np.uint64)
-        return batch.append_column(
-            "__part", pa.array((h % np.uint64(num_partitions)).astype(np.int32))
-        )
-
     def keep_first(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return (
-                part.drop_columns(["__part"])
-                if "__part" in part.column_names else part
-            )
         t = part.sort_by([(text_col, "ascending"), (id_col, "ascending")])
         col = t[text_col]
         if isinstance(col, pa.ChunkedArray):
@@ -298,13 +247,11 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
         keep = pa.concat_arrays(
             [pa.array([True]), pc.cast(diff, pa.bool_())]
         )
-        return t.filter(keep).drop_columns(["__part"])
+        return t.filter(keep)
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(keep_first, batch_format="pyarrow")
-    )
+    sch = side_schema(ds)
+    return exchange([ds], hash_part([text_col], num_partitions), keep_first,
+                    sch, schemas=[sch])
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +329,6 @@ def candidate_pairs_partition(part: pa.Table, *, cap: int = 64) -> pa.Table:
     shared `triu_indices` template (buckets of equal size become one 2-D
     gather — no per-bucket Python). ``cap`` guards degenerate buckets; the
     truncation is visible through the emitted full ``bucket_size``."""
-    if part.num_rows == 0 or "band_hash" not in part.column_names:
-        return _CAND_SCHEMA.empty_table()
     band = _np_col(part, "band").astype(np.int64)
     bh = _np_col(part, "band_hash")
     doc = _np_col(part, "doc_id").astype(np.int64)
@@ -446,14 +391,14 @@ def minhash_duplicate_pairs(
     driver-side corpus materialization, no broadcast of texts — verify cost
     scales with candidates + ONE corpus shingling pass.
 
-    Shuffle shape (3 hash exchanges on `__part` codes, the hash-join
-    backend is deliberately avoided — it deadlocks in constrained
-    environments; every post-exchange kernel is partition-local and
-    vectorized across ALL of its partition's groups, no per-group UDFs):
-      1. band rows -> part(band, band_hash) -> per-bucket candidate pairs
-      2. pair half-rows (keyed by a and by b) UNION corpus (doc_id, blob)
-         rows -> part(key): de-dup each half and attach its blob
-      3. part(a, b): merge the two halves of each pair, exact Jaccard from
+    Shuffle shape (3 ``exchange`` calls, the hash-join backend is
+    deliberately avoided — it deadlocks in constrained environments; every
+    post-exchange kernel is partition-local and vectorized across ALL of
+    its partition's groups, no per-group UDFs):
+      1. band rows on hash(band, band_hash) -> per-bucket candidate pairs
+      2. pair half-rows (keyed by a and by b) and corpus (doc_id, blob)
+         rows, two sides on hash(key): de-dup each half, attach its blob
+      3. hash(a, b): merge the two halves of each pair, exact Jaccard from
          the two blobs (one segmented sort over the partition), threshold
 
     ``ds`` must carry (doc_id, text). ``docs_ds`` optionally supplies a
@@ -466,39 +411,21 @@ def minhash_duplicate_pairs(
     P = num_partitions
 
     mh_kwargs = {"num_perm": num_perm, "bands": bands, "k": k}
-
-    def band_rows(batch: pa.Table) -> pa.Table:
-        t = MinHasher(**mh_kwargs)(batch)
-        return t.append_column(
-            "__part",
-            pa.array(_mix_part(P, _np_col(t, "band").astype(np.int64),
-                               _np_col(t, "band_hash"))),
-        )
-
     buckets = ds.map_batches(
-        band_rows, batch_format="pyarrow", concurrency=concurrency
+        lambda batch: MinHasher(**mh_kwargs)(batch),
+        batch_format="pyarrow", concurrency=concurrency,
     )
-    pairs = (
-        buckets.groupby("__part")
-        .map_groups(candidate_pairs_partition, batch_format="pyarrow")
+    pairs = exchange(
+        [buckets], hash_part(["band", "band_hash"], P),
+        candidate_pairs_partition, _CAND_SCHEMA,
+        schemas=[pa.schema([("band", pa.int32()), ("band_hash", pa.uint64()),
+                            ("doc_id", pa.int64())])],
     )
 
     # one row per (pair, endpoint): key routes to the endpoint's corpus doc
     def half_rows(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return pa.table(
-                {
-                    "key": pa.array([], pa.int64()),
-                    "a": pa.array([], pa.int64()),
-                    "b": pa.array([], pa.int64()),
-                    "half": pa.array([], pa.int8()),
-                    "__blob": pa.array([], pa.large_binary()),
-                    "__part": pa.array([], pa.int32()),
-                }
-            )
         a = t["a"].combine_chunks() if isinstance(t["a"], pa.ChunkedArray) else t["a"]
         b = t["b"].combine_chunks() if isinstance(t["b"], pa.ChunkedArray) else t["b"]
-        n = t.num_rows
         key = pa.concat_arrays([a.cast(pa.int64()), b.cast(pa.int64())])
         return pa.table(
             {
@@ -506,44 +433,24 @@ def minhash_duplicate_pairs(
                 "a": pa.concat_arrays([a, a]),
                 "b": pa.concat_arrays([b, b]),
                 "half": pa.array(
-                    np.repeat(np.array([0, 1], np.int8), n), pa.int8()
+                    np.repeat(np.array([0, 1], np.int8), t.num_rows), pa.int8()
                 ),
-                "__blob": pa.nulls(2 * n, pa.large_binary()),
-                "__part": pa.array(_mix_part(P, key.to_numpy())),
             }
         )
 
     def corpus_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        key = t["doc_id"].cast(pa.int64())
-        if isinstance(key, pa.ChunkedArray):
-            key = key.combine_chunks()
         return pa.table(
             {
-                "key": key,
-                "a": pa.nulls(n, pa.int64()),
-                "b": pa.nulls(n, pa.int64()),
-                "half": pa.nulls(n, pa.int8()),
+                "key": t["doc_id"].cast(pa.int64()),
                 "__blob": _shingle_blob_column(t["text"], k),
-                "__part": pa.array(_mix_part(P, key.to_numpy())),
             }
         )
 
-    left = pairs.map_batches(half_rows, batch_format="pyarrow")
-    right = docs_ds.map_batches(
-        corpus_rows, batch_format="pyarrow", concurrency=concurrency
-    )
-
-    def attach(part: pa.Table) -> pa.Table:
+    def attach(prows: pa.Table, corpus: pa.Table) -> pa.Table:
         """One hash partition of doc keys: drop duplicate half-rows (same
         pair surfacing from several bands) and stamp each half with its
         endpoint's corpus blob — a sorted searchsorted join across ALL of
         the partition's keys at once."""
-        if part.num_rows == 0 or "__blob" not in part.column_names:
-            return _HALF_SCHEMA.empty_table()
-        is_corpus = pc.is_valid(part["__blob"])
-        prows = part.filter(pc.invert(is_corpus))
-        corpus = part.filter(is_corpus)
         if prows.num_rows == 0 or corpus.num_rows == 0:
             return _HALF_SCHEMA.empty_table()  # unknown docs: inner-join drop
         ck = _np_col(corpus, "key").astype(np.int64)
@@ -576,21 +483,15 @@ def minhash_duplicate_pairs(
             }
         )
 
-    def tag_pair_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return _HALF_SCHEMA.empty_table().append_column(
-                "__part", pa.array([], pa.int32())
-            )
-        return t.append_column(
-            "__part",
-            pa.array(_mix_part(P, _np_col(t, "a"), _np_col(t, "b"))),
-        )
-
-    halves = (
-        left.union(right)
-        .groupby("__part")
-        .map_groups(attach, batch_format="pyarrow")
-        .map_batches(tag_pair_part, batch_format="pyarrow")
+    halves = exchange(
+        [pairs.map_batches(half_rows, batch_format="pyarrow"),
+         docs_ds.map_batches(corpus_rows, batch_format="pyarrow",
+                             concurrency=concurrency)],
+        hash_part(["key"], P), attach, _HALF_SCHEMA,
+        schemas=[pa.schema([("key", pa.int64()), ("a", pa.int64()),
+                            ("b", pa.int64()), ("half", pa.int8())]),
+                 pa.schema([("key", pa.int64()),
+                            ("__blob", pa.large_binary())])],
     )
 
     def verify(part: pa.Table) -> pa.Table:
@@ -599,8 +500,6 @@ def minhash_duplicate_pairs(
         shingle words of all pair blobs are gathered into one flat array
         with per-pair segment ids; one lexsort + adjacent-equality count
         yields every pair's intersection size simultaneously."""
-        if part.num_rows == 0 or "half" not in part.column_names:
-            return _PAIR_SCHEMA.empty_table()
         aa = _np_col(part, "a").astype(np.int64)
         bb = _np_col(part, "b").astype(np.int64)
         hh = _np_col(part, "half").astype(np.int64)
@@ -662,7 +561,8 @@ def minhash_duplicate_pairs(
             }
         )
 
-    return halves.groupby("__part").map_groups(verify, batch_format="pyarrow")
+    return exchange([halves], hash_part(["a", "b"], P), verify, _PAIR_SCHEMA,
+                    schemas=[_HALF_SCHEMA])
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +633,6 @@ def simhash_duplicate_pairs(ds, *, max_hamming: int = 3, concurrency: int = 2):
                 "key": pa.array(key_a, pa.uint64()),
                 "doc_id": pa.array(np.concatenate(docs)),
                 "simhash": pa.array(np.concatenate(full), pa.uint64()),
-                "__part": pa.array(_mix_part(P, band_a.astype(np.int64), key_a)),
             }
         )
 
@@ -747,8 +646,6 @@ def simhash_duplicate_pairs(ds, *, max_hamming: int = 3, concurrency: int = 2):
         (band, key, doc_id), drop per-band duplicate docs, then emit each
         size-class's pairs from a shared triu template with a vectorized
         XOR-popcount Hamming check (no per-bucket UDF calls)."""
-        if part.num_rows == 0 or "simhash" not in part.column_names:
-            return _SIM_PAIR_SCHEMA.empty_table()
         band = _np_col(part, "band").astype(np.int64)
         key = _np_col(part, "key")
         doc = _np_col(part, "doc_id").astype(np.int64)
@@ -793,10 +690,12 @@ def simhash_duplicate_pairs(ds, *, max_hamming: int = 3, concurrency: int = 2):
             }
         )
 
-    pairs = (
-        sigs.map_batches(explode, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+    pairs = exchange(
+        [sigs.map_batches(explode, batch_format="pyarrow")],
+        hash_part(["band", "key"], P), bucket_pairs, _SIM_PAIR_SCHEMA,
+        schemas=[pa.schema([("band", pa.int32()), ("key", pa.uint64()),
+                            ("doc_id", pa.int64()),
+                            ("simhash", pa.uint64())])],
     )
     return pairs_distinct(pairs, _SIM_PAIR_SCHEMA, num_partitions=P)
 
@@ -1055,8 +954,8 @@ def dedup_apply(corpus, drops, *, on: str = "doc_id",
     - count <= ``max_broadcast_keys``: the sorted int64 key array ships via
       one ``ray.put`` and the corpus filters map-side with
       ``np.searchsorted`` membership — zero shuffle, no per-row Python.
-    - count above the budget: both sides hash-exchange ONCE on
-      ``mix(key) % P`` and a partition-local vectorized anti kernel drops
+    - count above the budget: one two-sided ``exchange`` on
+      ``hash_part(key)`` and a partition-local vectorized anti kernel drops
       matches — the corpus never lands on the driver in either path.
 
     Reference analog: M5's include/exclude table filter generalized to a
@@ -1064,7 +963,6 @@ def dedup_apply(corpus, drops, *, on: str = "doc_id",
     import ray
 
     from debezium_connector_db2_ray.functions.relational import (
-        _partition_codes,
         derive_num_partitions,
     )
 
@@ -1073,13 +971,13 @@ def dedup_apply(corpus, drops, *, on: str = "doc_id",
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         u = pc.unique(col.cast(pa.int64()))
-        return pa.table({"k": u.filter(pc.is_valid(u))})
+        return pa.table({on: u.filter(pc.is_valid(u))})
 
     dk = drops.map_batches(distinct, batch_format="pyarrow").materialize()
     n_keys = dk.count()  # metadata read on a materialized dataset
 
     if n_keys <= max_broadcast_keys:
-        parts = [t["k"].to_numpy(zero_copy_only=False)
+        parts = [t[on].to_numpy(zero_copy_only=False)
                  for t in ray.get(dk.to_arrow_refs()) if t.num_rows]
         keys = (np.unique(np.concatenate(parts)) if parts
                 else np.empty(0, np.int64)).astype(np.int64)
@@ -1105,61 +1003,28 @@ def dedup_apply(corpus, drops, *, on: str = "doc_id",
     # exchange path: one all-to-all on the key, partition-local anti
     if num_partitions is None:
         num_partitions = derive_num_partitions(corpus)
-    cschema = (corpus.schema(fetch_if_missing=False)
-          or corpus.schema())
-    if hasattr(cschema, "base_schema"):
-        cschema = cschema.base_schema
-    ccols = list(cschema.names)
-    ctypes = dict(zip(cschema.names, cschema.types))
+    cschema = side_schema(corpus)
 
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            t = batch if side == 0 else pa.table({
-                on: batch["k"].cast(ctypes[on]),
-                **{c: pa.nulls(batch.num_rows, ctypes[c])
-                   for c in ccols if c != on},
-            }).select(ccols)
-            cols = {c: t[c] for c in ccols}
-            cols["__side"] = pa.array(
-                np.full(t.num_rows, side, np.int8)
-            )
-            cols["__part"] = pa.array(
-                _partition_codes(t, [on], num_partitions)
-            )
-            return pa.table(cols)
-
-        return fn
-
-    u = corpus.map_batches(tag(0), batch_format="pyarrow").union(
-        dk.map_batches(tag(1), batch_format="pyarrow")
-    )
-
-    def anti(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return cschema.empty_table()
-        side = group["__side"].to_numpy(zero_copy_only=False)
-        col = group[on]
+    def anti(ct: pa.Table, drop: pa.Table) -> pa.Table:
+        col = ct[on]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
         k = pc.fill_null(col.cast(pa.int64()), 0).to_numpy(
             zero_copy_only=False
         ).astype(np.int64)
-        dks = np.unique(k[(side == 1)])
-        left = side == 0
+        dks = np.unique(drop[on].to_numpy(zero_copy_only=False))
         if dks.size:
             pos = np.minimum(np.searchsorted(dks, k), dks.size - 1)
             hit = valid & (dks[pos] == k)
         else:
             hit = np.zeros(len(k), bool)
-        return group.filter(pa.array(left & ~hit)).drop_columns(
-            ["__side", "__part"]
-        )
+        return ct.filter(pa.array(~hit))
 
-    import ray.data as _rd
-
-    out = u.groupby("__part").map_groups(anti, batch_format="pyarrow")
-    return out.union(_rd.from_arrow(cschema.empty_table()))
+    return exchange(
+        [corpus, dk], hash_part([on], num_partitions), anti, cschema,
+        schemas=[cschema, pa.schema([(on, pa.int64())])],
+    )
 
 
 def paragraph_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
@@ -1175,7 +1040,7 @@ def paragraph_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
     Scale shape — two bounded exchanges, rows move once each:
     1. map-side explode (vectorized polars split+explode with a zipped
        in-doc index; no Python row loop);
-    2. hash exchange on the paragraph text for non-empty rows — empty
+    2. ``exchange`` on the paragraph text's hash for non-empty rows — empty
        paragraphs are routed by hash(doc_id) instead, so the '' hot key
        never concentrates on one partition (the kernel keeps ALL empty
        rows, so their placement is free); partition-local sort by
@@ -1214,26 +1079,22 @@ def paragraph_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
             idx=pl.int_ranges(pl.col("paras").list.len(), dtype=pl.Int64)
         ).explode(["paras", "idx"])
         t = df.to_arrow()
-        para = t["paras"].combine_chunks().cast(pa.string())
-        did = t["doc"].combine_chunks().cast(pa.int64())
-        # route non-empty paras by content hash; empties by doc hash so the
-        # '' group never becomes a hot partition (kernel keeps all empties)
-        ph = pl.from_arrow(para).hash(seed=5).to_numpy().astype(np.uint64)
-        dh = (did.to_numpy(zero_copy_only=False).astype(np.uint64)
-              * np.uint64(0x9E3779B97F4A7C15))
-        empty = pc.equal(para, "").to_numpy(zero_copy_only=False)
-        route = np.where(empty, dh, ph) % np.uint64(num_partitions)
         return pa.table({
-            id_col: did,
+            id_col: t["doc"].combine_chunks().cast(pa.int64()),
             "idx": t["idx"].combine_chunks().cast(pa.int64()),
-            "para": para,
-            "__part": pa.array(route.astype(np.int32)),
+            "para": t["paras"].combine_chunks().cast(pa.string()),
         })
 
+    by_para = hash_part(["para"], num_partitions)
+    by_doc = hash_part([id_col], num_partitions)
+
+    def route(t: pa.Table) -> np.ndarray:
+        # route non-empty paras by content hash; empties by doc hash so the
+        # '' group never becomes a hot partition (kernel keeps all empties)
+        empty = pc.equal(t["para"], "").to_numpy(zero_copy_only=False)
+        return np.where(empty, by_doc(t), by_para(t))
+
     def keep_first(part: pa.Table) -> pa.Table:
-        cols = [id_col, "idx", "para"]
-        if part.num_rows == 0:
-            return part.select(cols)
         t = part.sort_by([
             ("para", "ascending"), (id_col, "ascending"),
             ("idx", "ascending"),
@@ -1248,21 +1109,19 @@ def paragraph_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
             pc.cast(pc.not_equal(a, b), pa.bool_()),
         ])
         keep = pc.or_(first, pc.equal(para, ""))
-        return t.filter(keep).select(cols)
+        return t.filter(keep)
 
-    kept = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(keep_first, batch_format="pyarrow")
+    para_schema = pa.schema([
+        (id_col, pa.int64()), ("idx", pa.int64()), ("para", pa.string()),
+    ])
+    kept = exchange(
+        [ds.map_batches(explode, batch_format="pyarrow")], route,
+        keep_first, para_schema, schemas=[para_schema],
     )
     return grouped_string_agg(
         kept, keys=[id_col], order_by=[("idx", "ascending")],
         col="para", sep=sep, out_col=out_col,
-        num_partitions=num_partitions,
-        schema=pa.schema([
-            (id_col, pa.int64()), ("idx", pa.int64()),
-            ("para", pa.string()),
-        ]),
+        num_partitions=num_partitions, schema=para_schema,
     )
 
 
@@ -1317,7 +1176,6 @@ def edit_distance_pairs(ds, *, col: str = "c_name",
     pl = import_polars()
 
     from debezium_connector_db2_ray.functions.relational import (
-        _partition_codes,
         derive_num_partitions,
         grouped_aggregate,
     )
@@ -1350,21 +1208,15 @@ def edit_distance_pairs(ds, *, col: str = "c_name",
                 s=sub["s0"],
             ))
         out = pl.concat(frames)
-        t = pa.table({
+        return pa.table({
             "v": out["v"].to_arrow().cast(pa.string()),
             "id": out["id"].to_arrow().cast(pa.int64()),
             "s": out["s"].to_arrow().cast(pa.string()),
         })
-        part = _partition_codes(t, ["v"], num_partitions)
-        return t.append_column("__part", pa.array(part))
+
+    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "a": pa.array([], pa.int64()),
-            "b": pa.array([], pa.int64()),
-        })
-        if group.num_rows == 0 or "v" not in group.column_names:
-            return empty
         order = pc.sort_indices(group, sort_keys=[("v", "ascending")])
         g = group.take(order)
         v = np.asarray(g["v"].to_pylist(), dtype=object)
@@ -1387,7 +1239,7 @@ def edit_distance_pairs(ds, *, col: str = "c_name",
             cand_a.append(seg_ids[ii])
             cand_b.append(seg_ids[jj])
         if not cand_a:
-            return empty
+            return pair_schema.empty_table()
         a = np.concatenate(cand_a)
         b = np.concatenate(cand_b)
         swap = a > b
@@ -1405,17 +1257,17 @@ def edit_distance_pairs(ds, *, col: str = "c_name",
             "b": pa.array(pairs[:, 1], pa.int64()),
         })
 
-    cands = (
-        ds.map_batches(variants, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+    cands = exchange(
+        [ds.map_batches(variants, batch_format="pyarrow")],
+        hash_part(["v"], num_partitions), bucket_pairs, pair_schema,
+        schemas=[pa.schema([("v", pa.string()), ("id", pa.int64()),
+                            ("s", pa.string())])],
     )
     # a pair can share variants hashed to different partitions: one small
     # exchange on the pair id makes the output globally distinct
     return grouped_aggregate(
         cands, keys=["a", "b"], aggs={"n": ("a", "count")},
-        num_partitions=num_partitions,
-        schema=pa.schema([("a", pa.int64()), ("b", pa.int64())]),
+        num_partitions=num_partitions, schema=pair_schema,
     ).select_columns(["a", "b"])
 
 

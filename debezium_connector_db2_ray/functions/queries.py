@@ -72,16 +72,10 @@ SELECT doc_id, prefix_key FROM ranked WHERE rn = 1
 def q_dedup_prefix(sf_dir: str):
     """Normalized exact dedup: key = first 5 whitespace tokens — the
     normalize-then-hash-partition dedup shape (real duplicate groups exist
-    under this key even when full texts are unique). One hash exchange on
-    ``hash(prefix_key) % P``; the partition-local kernel keeps the min-id
-    row per distinct key by comparing the ACTUAL keys (vectorized
-    sort + adjacent-compare — no per-group UDF calls, no per-row joins)."""
-    from debezium_connector_db2_ray.functions.relational import (
-        derive_num_partitions,
-    )
-
-    ds = _docs(sf_dir, columns=["doc_id", "text"])
-    P = derive_num_partitions(ds)
+    under this key even when full texts are unique). A key map, then
+    ``exact_dedup`` on the key: it keeps the min-id row per distinct key by
+    comparing the ACTUAL keys."""
+    from debezium_connector_db2_ray.functions.dedup import exact_dedup
 
     def add_key(batch: pa.Table) -> pa.Table:
         from debezium_connector_db2_ray.polars_compat import import_polars
@@ -92,41 +86,15 @@ def q_dedup_prefix(sf_dir: str):
             col = col.combine_chunks()
         s = pl.from_arrow(pc.coalesce(col, pa.scalar("", pa.string())))
         keys = s.str.extract_all(r"\S+").list.head(5).list.join(" ")
-        h = keys.hash(seed=3).to_numpy().astype(np.uint64)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "prefix_key": keys.to_arrow().cast(pa.string()),
-                "__part": pa.array((h % np.uint64(P)).astype(np.int32)),
-            }
-        )
+        return pa.table({
+            "doc_id": batch["doc_id"],
+            "prefix_key": keys.to_arrow().cast(pa.string()),
+        })
 
-    def keep_first(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return (
-                part.drop_columns(["__part"])
-                if "__part" in part.column_names else part
-            )
-        t = part.sort_by(
-            [("prefix_key", "ascending"), ("doc_id", "ascending")]
-        )
-        col = t["prefix_key"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        n = len(col)
-        diff = pc.fill_null(
-            pc.not_equal(col.slice(1), col.slice(0, n - 1)), False
-        )
-        keep = pa.concat_arrays(
-            [pa.array([True]), pc.cast(diff, pa.bool_())]
-        )
-        return t.filter(keep).drop_columns(["__part"])
-
-    return (
-        ds.map_batches(add_key, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(keep_first, batch_format="pyarrow")
+    keyed = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
+        add_key, batch_format="pyarrow"
     )
+    return exact_dedup(keyed, text_col="prefix_key")
 
 
 #: decontamination oracle: the same 3-gram construction as
@@ -1414,7 +1382,9 @@ def q_pricing_summary(sf_dir: str):
             }
         )
         g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.Table.from_pandas(
+            g, preserve_index=False
+        ).replace_schema_metadata(None)  # no unhashable pandas dict
 
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -1486,7 +1456,9 @@ def q_order_revenue(sf_dir: str):
             }
         )
         g = df.groupby("o_orderpriority", as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.Table.from_pandas(
+            g, preserve_index=False
+        ).replace_schema_metadata(None)  # no unhashable pandas dict
 
     return (
         j.map_batches(partial, batch_format="pyarrow")
@@ -7066,8 +7038,6 @@ def q_triangles(sf_dir: str):
     pair_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
 
     def order_pairs(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pair_schema.empty_table()
         ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
         pk = t["l_partkey"].to_numpy(zero_copy_only=False)
         order = np.lexsort((pk, ok))
@@ -7863,8 +7833,6 @@ def q_retention_cohorts(sf_dir: str):
     ])
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pair_schema.empty_table()
         t = part.sort_by([("user_id", "ascending"), ("wk", "ascending")])
         u = t["user_id"].to_numpy(zero_copy_only=False)
         wk = t["wk"].to_numpy(zero_copy_only=False)
@@ -8331,8 +8299,6 @@ def q_daily_gapfill(sf_dir: str):
     out_schema = pre_schema
 
     def expand(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         idx = pc.sort_indices(
             t, sort_keys=[("user_id", "ascending"), ("day", "ascending")]
         )
@@ -8421,8 +8387,6 @@ def q_last_touch(sf_dir: str):
     ])
 
     def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         idx = pc.sort_indices(t, sort_keys=[
             ("user_id", "ascending"), ("ts", "ascending"),
             ("event_id", "ascending"),
@@ -8751,8 +8715,6 @@ def q_active_backlog(sf_dir: str):
                                                   pa.int64())])
 
     def cumsum(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         t = t.sort_by([("day", "ascending")])
         d = t["delta"].to_numpy(zero_copy_only=False)
         return pa.table({
@@ -8942,8 +8904,6 @@ def q_debounce(sf_dir: str):
     ])
 
     def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         idx = pc.sort_indices(t, sort_keys=[
             ("user_id", "ascending"), ("event_type", "ascending"),
             ("ts", "ascending"), ("event_id", "ascending"),
@@ -9112,8 +9072,6 @@ def q_mixture_downsample(sf_dir: str):
         })
 
     def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         idx = pc.sort_indices(t, sort_keys=[
             ("source", "ascending"), ("h", "ascending"),
             ("doc_id", "ascending"),
@@ -9239,8 +9197,6 @@ def q_cumulative_users(sf_dir: str):
     ])
 
     def cumsum(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         t = t.sort_by([("day", "ascending")])
         nu = t["new_users"].to_numpy(zero_copy_only=False)
         return pa.table({
@@ -9681,8 +9637,6 @@ def q_type_affinity(sf_dir: str):
     hist_schema = pa.schema([("mask", pa.int64()), ("cnt", pa.int64())])
 
     def or_fold_and_hist(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return hist_schema.empty_table()
         u = part["user_id"].to_numpy(zero_copy_only=False)
         m = part["mask"].to_numpy(zero_copy_only=False)
         order = np.argsort(u, kind="stable")
@@ -10271,8 +10225,6 @@ def q_basket_pairs(sf_dir: str):
     ])
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pair_schema.empty_table()
         t = part.sort_by([("l_orderkey", "ascending"),
                           ("l_partkey", "ascending")])
         ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
@@ -10751,8 +10703,6 @@ def q_session_paths(sf_dir: str):
     gap_us = SESSION_GAP_MIN * 60_000_000
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return cnt_schema.empty_table()
         t = part.sort_by([
             ("user_id", "ascending"), ("ts", "ascending"),
             ("event_id", "ascending"),
@@ -11331,8 +11281,6 @@ def q_session_stats(sf_dir: str):
     gap_us = SESSION_GAP_MIN * 60_000_000
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by([
             ("user_id", "ascending"), ("ts", "ascending"),
             ("event_id", "ascending"),
@@ -12885,8 +12833,6 @@ def q_similar_items(sf_dir: str):
     ])
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pair_schema.empty_table()
         t = part.sort_by([("l_orderkey", "ascending"),
                           ("l_partkey", "ascending")])
         ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
@@ -12921,8 +12867,6 @@ def q_similar_items(sf_dir: str):
         })
 
     def freq_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return freq_schema.empty_table()
         t = batch.sort_by([("l_orderkey", "ascending"),
                            ("l_partkey", "ascending")])
         ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
@@ -13544,8 +13488,6 @@ def q_running_distinct(sf_dir: str):
     ])
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by([
             ("user_id", "ascending"), ("ts", "ascending"),
             ("event_id", "ascending"),
@@ -13948,8 +13890,6 @@ def q_first_order_share(sf_dir: str):
     ])
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return day_schema.empty_table()
         t = part.sort_by([
             ("o_custkey", "ascending"), ("o_orderdate", "ascending"),
             ("o_orderkey", "ascending"),
@@ -14181,8 +14121,6 @@ def q_conversion_percentiles(sf_dir: str):
     lat_schema = pa.schema([("latency_us", pa.int64())])
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return lat_schema.empty_table()
         t = part.sort_by([
             ("user_id", "ascending"), ("ts_us", "ascending"),
         ])
@@ -14461,8 +14399,6 @@ def q_session_contingency(sf_dir: str):
     gap_us = SESSION_GAP_MIN * 60_000_000
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return c_schema.empty_table()
         t = part.sort_by([
             ("user_id", "ascending"), ("ts", "ascending"),
             ("event_id", "ascending"),
@@ -14946,8 +14882,6 @@ def q_longest_streak(sf_dir: str):
         return t.group_by(["user_id", "day"]).aggregate([])
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by([("user_id", "ascending"), ("day", "ascending")])
         u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         d = t["day"].combine_chunks().to_numpy(
@@ -15128,8 +15062,6 @@ def q_weighted_median(sf_dir: str):
         })
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by([
             ("flag", "ascending"), ("price_cents", "ascending"),
         ])

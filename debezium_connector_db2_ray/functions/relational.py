@@ -12,6 +12,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from debezium_connector_db2_ray.functions.exchange import (
+    exchange,
+    hash_part,
+    side_schema,
+)
+
 
 # ---------------------------------------------------------------------------
 # as-of join
@@ -31,11 +37,11 @@ def asof_join(
     Ray Data lacks, composed as hash-partition-by-key + one vectorized
     sorted-merge per partition.
 
-    Scale shape: both sides tag ``hash(key) % num_partitions`` and union —
-    ONE sort exchange moves each row once; the per-partition kernel is a
-    lexsort + segment forward-fill (no Python loop). Partitioning
-    assumption: one key's rows fit a worker (same contract as every grouped
-    operator here; salt by time range if a key exceeds it).
+    Scale shape: one two-sided ``exchange`` on ``hash_part(key)`` moves
+    each row once; the per-partition kernel is a lexsort + segment
+    forward-fill (no Python loop). Partitioning assumption: one key's rows
+    fit a worker (same contract as every grouped operator here; salt by
+    time range if a key exceeds it).
 
     ``right`` must be unique per (key, ts) — pre-collapse duplicates or the
     match is ambiguous (DuckDB's ASOF has the same requirement). The join
@@ -47,57 +53,27 @@ def asof_join(
     derive_num_partitions), so callers need not re-tune at 100x scale."""
     if num_partitions is None:
         num_partitions = derive_num_partitions(left, right)
-    lschema = (left.schema(fetch_if_missing=False)
-          or left.schema())
-    rschema = (right.schema(fetch_if_missing=False)
-          or right.schema())
-    left_types = dict(zip(lschema.names, lschema.types))
-    right_types = dict(zip(rschema.names, rschema.types))
-    lcols = list(lschema.names)
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = batch[key].to_numpy(zero_copy_only=False).astype(np.int64)
-            cols = {
-                "__part": pa.array((k % num_partitions).astype(np.int32)),
-                "__side": pa.array(np.full(batch.num_rows, side, np.int8)),
-                key: batch[key],
-                ts: batch[ts],
-            }
-            for c in value_cols:
-                cols[c] = (
-                    batch[c] if side == 1
-                    else pa.nulls(batch.num_rows, right_types[c])
-                )
-            for c in lcols:
-                if c in (key, ts):
-                    continue
-                cols[f"__l_{c}"] = (
-                    batch[c] if side == 0
-                    else pa.nulls(batch.num_rows, left_types[c])
-                )
-            return pa.table(cols)
-
-        return fn
-
-    u = left.map_batches(tag(0), batch_format="pyarrow").union(
-        right.map_batches(tag(1), batch_format="pyarrow")
+    lschema = side_schema(left)
+    rschema = side_schema(right)
+    rschema = pa.schema(
+        [rschema.field(c) for c in dict.fromkeys((key, ts, *value_cols))]
+    )
+    out_schema = pa.schema(
+        list(lschema)
+        + [(f"asof_{c}", rschema.field(c).type) for c in value_cols]
     )
 
-    def empty_out() -> pa.Table:
-        cols = {}
-        for c in lcols:
-            cols[c] = pa.array([], left_types[c])
-        for c in value_cols:
-            cols[f"asof_{c}"] = pa.array([], right_types[c])
-        return pa.table(cols)
-
-    def merge(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "__side" not in group.column_names:
-            return empty_out()
-        kv = group[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        t_ = group[ts].to_numpy(zero_copy_only=False).astype("int64")
-        side = group["__side"].to_numpy(zero_copy_only=False)
+    def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        nl = lt.num_rows
+        kv = np.concatenate([
+            t[key].to_numpy(zero_copy_only=False).astype(np.int64)
+            for t in (lt, rt)
+        ])
+        t_ = np.concatenate([
+            t[ts].to_numpy(zero_copy_only=False).astype("int64")
+            for t in (lt, rt)
+        ])
+        side = np.repeat(np.array([0, 1], np.int8), [nl, rt.num_rows])
         # sort key-major, then ts, right rows BEFORE left at equal ts
         # (inclusive match: a right row at the same instant applies)
         order = np.lexsort((1 - side, t_, kv))
@@ -111,20 +87,17 @@ def asof_join(
         valid = cm >= run_start  # the latest right row is within this key's run
         li = np.flatnonzero(side_s == 0)
         src, ok = cm[li], valid[li]
-        sorted_g = group.take(pa.array(order))
-        out_cols = {}
-        for c in lcols:
-            col = sorted_g[f"__l_{c}"] if c not in (key, ts) else sorted_g[c]
-            out_cols[c] = col.take(pa.array(li))
-        take_idx = pa.array(np.where(ok, src, 0).astype(np.int64))
+        out = lt.take(pa.array(order[li]))
+        # null take index where no right row matched
+        ridx = pa.array(np.where(ok, order[src] - nl, 0), mask=~ok)
         for c in value_cols:
-            vals = sorted_g[c].take(take_idx)
-            out_cols[f"asof_{c}"] = pc.if_else(
-                pa.array(ok), vals, pa.nulls(len(li), right_types[c])
-            )
-        return pa.table(out_cols)
+            out = out.append_column(f"asof_{c}", rt[c].take(ridx))
+        return out
 
-    return u.groupby("__part").map_groups(merge, batch_format="pyarrow")
+    return exchange(
+        [left, right], hash_part([key], num_partitions), merge, out_schema,
+        schemas=[lschema, rschema],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +122,8 @@ def interval_join(
     (intervals per key assumed NON-OVERLAPPING, e.g. sessionize output —
     the at-most-one-match contract that keeps output size = input size).
 
-    Scale shape: like asof_join — both sides tag hash(key) % P and union
-    (one sort exchange, each row moves once); per partition a lexsort +
+    Scale shape: like asof_join — one two-sided ``exchange`` on
+    ``hash_part(key)``, each row moves once; per partition a lexsort +
     segment forward-fill finds each point's most recent interval START, and
     one vectorized end-check decides containment. Integer keys only.
     ``num_partitions`` defaults size-derived (derive_num_partitions)."""
@@ -159,65 +132,28 @@ def interval_join(
     # pass points_schema/intervals_schema when a side has an exchange
     # upstream: Dataset.schema() on such a side executes the whole
     # upstream pipeline just to learn dtypes (and the real run repeats it)
-    pschema = points_schema or (points.schema(fetch_if_missing=False)
-          or points.schema())
-    ischema = intervals_schema or (intervals.schema(fetch_if_missing=False)
-          or intervals.schema())
-    p_types = dict(zip(pschema.names, pschema.types))
-    i_types = dict(zip(ischema.names, ischema.types))
-    pcols = list(pschema.names)
-
-    def tag_points(batch: pa.Table) -> pa.Table:
-        k = batch[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        cols = {
-            "__part": pa.array((k % num_partitions).astype(np.int32)),
-            "__side": pa.array(np.full(batch.num_rows, 0, np.int8)),
-            key: batch[key],
-            "__t": pc.cast(batch[ts], pa.int64()),
-            "__end": pa.nulls(batch.num_rows, pa.int64()),
-        }
-        for c in value_cols:
-            cols[c] = pa.nulls(batch.num_rows, i_types[c])
-        for c in pcols:
-            if c != key:
-                cols[f"__p_{c}"] = batch[c]
-        return pa.table(cols)
-
-    def tag_intervals(batch: pa.Table) -> pa.Table:
-        k = batch[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        cols = {
-            "__part": pa.array((k % num_partitions).astype(np.int32)),
-            "__side": pa.array(np.full(batch.num_rows, 1, np.int8)),
-            key: batch[key],
-            "__t": pc.cast(batch[start], pa.int64()),
-            "__end": pc.cast(batch[end], pa.int64()),
-        }
-        for c in value_cols:
-            cols[c] = batch[c]
-        for c in pcols:
-            if c != key:
-                cols[f"__p_{c}"] = pa.nulls(batch.num_rows, p_types[c])
-        return pa.table(cols)
-
-    u = points.map_batches(tag_points, batch_format="pyarrow").union(
-        intervals.map_batches(tag_intervals, batch_format="pyarrow")
+    pschema = points_schema or side_schema(points)
+    ischema = intervals_schema or side_schema(intervals)
+    ischema = pa.schema([
+        ischema.field(c) for c in dict.fromkeys((key, start, end, *value_cols))
+    ])
+    pcols = [key] + [c for c in pschema.names if c != key]
+    out_schema = pa.schema(
+        [pschema.field(c) for c in pcols]
+        + [(f"iv_{c}", ischema.field(c).type) for c in value_cols]
     )
 
-    def empty_out() -> pa.Table:
-        cols = {key: pa.array([], p_types[key])}
-        for c in pcols:
-            if c != key:
-                cols[c] = pa.array([], p_types[c])
-        for c in value_cols:
-            cols[f"iv_{c}"] = pa.array([], i_types[c])
-        return pa.table(cols)
-
-    def merge(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "__side" not in group.column_names:
-            return empty_out()
-        kv = group[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        t_ = group["__t"].to_numpy(zero_copy_only=False)
-        side = group["__side"].to_numpy(zero_copy_only=False)
+    def merge(pt: pa.Table, it: pa.Table) -> pa.Table:
+        n_p = pt.num_rows
+        kv = np.concatenate([
+            t[key].to_numpy(zero_copy_only=False).astype(np.int64)
+            for t in (pt, it)
+        ])
+        t_ = np.concatenate([
+            pc.cast(pt[ts], pa.int64()).to_numpy(zero_copy_only=False),
+            pc.cast(it[start], pa.int64()).to_numpy(zero_copy_only=False),
+        ])
+        side = np.repeat(np.array([0, 1], np.int8), [n_p, it.num_rows])
         order = np.lexsort((1 - side, t_, kv))  # interval starts before points
         kv_s, side_s = kv[order], side[order]
         n = len(order)
@@ -227,32 +163,24 @@ def interval_join(
         m = np.where(side_s == 1, np.arange(n), -1)
         cm = np.maximum.accumulate(m)
         in_run = cm >= run_start
-        sorted_g = group.take(pa.array(order))
-        # fill the point rows' null __end with int64 min BEFORE to_numpy:
-        # a null-carrying int64 column otherwise promotes to float64, which
-        # is silently lossy for tick values beyond 2^53 (nanosecond epochs).
-        # The fill value never leaks — `contained` requires in_run anyway.
-        ends = (
-            pc.fill_null(sorted_g["__end"], np.iinfo(np.int64).min)
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        )
+        # a NULL end contains nothing
+        ends = pc.fill_null(
+            pc.cast(it[end], pa.int64()), np.iinfo(np.int64).min
+        ).to_numpy(zero_copy_only=False)
         li = np.flatnonzero(side_s == 0)
-        src = cm[li]
-        safe = np.where(in_run[li], src, 0).astype(np.int64)
-        contained = in_run[li] & (t_[order][li] <= ends[safe])
-        out_cols = {key: sorted_g[key].take(pa.array(li))}
-        for c in pcols:
-            if c != key:
-                out_cols[c] = sorted_g[f"__p_{c}"].take(pa.array(li))
-        take_idx = pa.array(safe)
+        contained = in_run[li]
+        iv = np.where(contained, order[cm[li]] - n_p, 0)
+        contained[contained] = t_[order][li][contained] <= ends[iv[contained]]
+        out = pt.take(pa.array(order[li])).select(pcols)
+        ridx = pa.array(iv, mask=~contained)
         for c in value_cols:
-            vals = sorted_g[c].take(take_idx)
-            out_cols[f"iv_{c}"] = pc.if_else(
-                pa.array(contained), vals, pa.nulls(len(li), i_types[c])
-            )
-        return pa.table(out_cols)
+            out = out.append_column(f"iv_{c}", it[c].take(ridx))
+        return out
 
-    return u.groupby("__part").map_groups(merge, batch_format="pyarrow")
+    return exchange(
+        [points, intervals], hash_part([key], num_partitions), merge,
+        out_schema, schemas=[pschema, ischema],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,44 +197,6 @@ _AGG_DECOMP = {
 }
 
 
-def _partition_codes(batch: pa.Table, keys: list[str], num_partitions: int,
-                     ) -> np.ndarray:
-    """Vectorized per-row partition id from a (possibly multi-column,
-    possibly string) key tuple: every key column hashes to uint64 (numpy
-    for fixed-width types, polars xxhash for strings), columns fold through
-    mix64, and equal key tuples always land in the same partition. NULL
-    key values hash like 0 — they co-locate with the 0 key but remain a
-    distinct group inside the partition's hash-aggregate."""
-    from debezium_connector_db2_ray.functions.relational import mix64
-
-    h = np.zeros(batch.num_rows, np.uint64)
-    for c in keys:
-        col = batch[c]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        t = col.type
-        if (pa.types.is_integer(t) or pa.types.is_boolean(t)
-                or pa.types.is_temporal(t)):
-            v = pc.fill_null(col.cast(pa.int64()), 0).to_numpy(
-                zero_copy_only=False
-            ).astype(np.uint64)
-        elif pa.types.is_floating(t):
-            # widen to f64 (a 4-byte view would misalign) and normalize
-            # signed zeros: -0.0 + 0.0 == +0.0, every other value is
-            # unchanged — SQL GROUP BY treats -0.0 and 0.0 as one key
-            f = pc.fill_null(col.cast(pa.float64()), 0.0).to_numpy(
-                zero_copy_only=False
-            )
-            v = (f + 0.0).view(np.uint64)
-        else:
-            from debezium_connector_db2_ray.polars_compat import import_polars
-            pl = import_polars()
-
-            v = pl.from_arrow(col).hash(seed=0).to_numpy()
-        h = mix64(h ^ mix64(v))
-    return (h % np.uint64(num_partitions)).astype(np.int32)
-
-
 def grouped_aggregate(ds, *, keys: list[str],
                       aggs: dict[str, tuple[str, str]],
                       num_partitions: int | None = None,
@@ -321,8 +211,8 @@ def grouped_aggregate(ds, *, keys: list[str],
     Shape: per-batch partial aggregate (pyarrow's vectorized hash
     aggregation collapses each batch to one row per key it contains —
     the classic combiner, bounding shuffle volume by touched keys per
-    batch), then ONE hash exchange of the partials on ``__part =
-    mix64(keys) % P``, then a partition-local pyarrow hash-aggregate
+    batch), then ONE ``exchange`` of the partials on
+    ``hash_part(keys)``, then a partition-local pyarrow hash-aggregate
     finalizes. Same measurement: 6 s instead of 83 s, and each partition's
     work is pure C. Partitioning assumption: one partition's distinct keys
     fit a worker (P is size-derived via derive_num_partitions; raise it for
@@ -411,23 +301,15 @@ def grouped_aggregate(ds, *, keys: list[str],
         # aggregate() names outputs col_fn / count_all in spec order
         # alongside the keys; rename positionally to our stable partial names
         agg_names = [n for n in g.column_names if n not in gb_keys]
-        g = g.rename_columns(
+        return g.rename_columns(
             [c if c in gb_keys else pnames[agg_names.index(c)]
              for c in g.column_names]
         )
-        part = _partition_codes(g, gb_keys, num_partitions)
-        return g.append_column("__part", pa.array(part))
 
     # ds.schema() on a parquet read is footer metadata; on a transformed
     # input it may execute a sample (or worse, a whole upstream exchange) —
     # callers stacking operators pass `schema` explicitly to avoid that
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):  # ray Schema wrapper
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     key_types = dict(zip(sch.names, sch.types))
     empty_partial = partial(
         pa.table({
@@ -442,11 +324,7 @@ def grouped_aggregate(ds, *, keys: list[str],
                    for p in pnames}.items()]
 
     def final(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "__part" not in group.column_names:
-            group = empty_partial
-        g = group.drop_columns(["__part"]).group_by(gb_keys).aggregate(
-            final_spec
-        )
+        g = group.group_by(gb_keys).aggregate(final_spec)
         agg_names = [n for n in g.column_names if n not in gb_keys]
         by_partial = dict(zip([p for p, _ in final_spec], agg_names))
         cols = {
@@ -464,17 +342,11 @@ def grouped_aggregate(ds, *, keys: list[str],
                 cols[out] = g[by_partial[ps[0]]]
         return pa.table(cols)
 
-    import ray.data as _rd
-
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=400_000)
-        .groupby("__part")
-        .map_groups(final, batch_format="pyarrow")
+    return exchange(
+        [ds.map_batches(partial, batch_format="pyarrow", batch_size=400_000)],
+        hash_part(gb_keys, num_partitions), final,
+        final(empty_partial).schema, schemas=[empty_partial.schema],
     )
-    # a 0-row block pins the output schema even when the input is empty
-    # (map_groups never runs on an empty groupby, which would otherwise
-    # yield a schema-less dataset)
-    return out.union(_rd.from_arrow(final(empty_partial)))
 
 
 def grouped_count_distinct(ds, *, keys: list[str], col: str,
@@ -492,10 +364,7 @@ def grouped_count_distinct(ds, *, keys: list[str], col: str,
     Reference analog: none — the reference has no distinct-count at all
     (SURVEY §2.5); this is the training-data-pipeline shape (distinct
     users per shard, distinct shingles per doc cluster, ...)."""
-    sch0 = (ds.schema(fetch_if_missing=False)
-          or ds.schema())
-    if hasattr(sch0, "base_schema"):
-        sch0 = sch0.base_schema
+    sch0 = side_schema(ds)
     types = dict(zip(sch0.names, sch0.types))
     level1 = grouped_aggregate(
         ds, keys=list(keys) + [col],
@@ -528,8 +397,8 @@ def derive_num_partitions(*datasets, target_bytes: int = _TARGET_PARTITION_BYTES
     estimates (NO execution — parquet footer arithmetic only), then aim for
     ~``target_bytes`` of input per partition, clamped to [lo, hi]. When any
     input's size is unknown (e.g. a from_items source), fall back to
-    2x cluster CPUs — the same bounded sizing rule the replay path applies
-    to its window reads (pipelines/replay.py:736)."""
+    2x cluster CPUs, clamped like the block bound
+    ``CdcEngine.replay_from_parquet`` puts on its window reads."""
     import ray
 
     total, known = 0, True
@@ -620,192 +489,102 @@ def duplicate_components(pairs_ds, *, num_partitions: int | None = None,
                       "canonical_id": pa.array([], pa.int64())})
         )
 
-    def part_of(x: np.ndarray) -> pa.Array:
-        return pa.array((x % P).astype(np.int32))
+    def _np(t: pa.Table, c: str) -> np.ndarray:
+        return t[c].to_numpy(zero_copy_only=False)
+
+    node_label = pa.schema([("node", pa.int64()), ("label", pa.int64())])
+    edge_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
+    by_node = hash_part(["node"], P)
+
+    def seg_min(nodes: np.ndarray, labels_: np.ndarray):
+        """Per-node minimum label over (node, label) candidate rows."""
+        order = np.lexsort((labels_, nodes))
+        ns, ls = nodes[order], labels_[order]
+        starts = np.ones(len(ns), bool)
+        starts[1:] = ns[1:] != ns[:-1]
+        si = np.flatnonzero(starts)
+        return ns[si], ls[si]
 
     # ---- init: label(n) = min(n, neighbors(n)) — one exchange ------------
     def init_rows(batch: pa.Table) -> pa.Table:
         s = batch["src"].to_numpy(zero_copy_only=False)
         d = batch["dst"].to_numpy(zero_copy_only=False)
-        node = np.concatenate([s, s])
-        cand = np.concatenate([d, s])
         return pa.table(
-            {"__part": part_of(node), "node": node, "label": cand}
+            {"node": np.concatenate([s, s]), "label": np.concatenate([d, s])}
         )
 
-    def seg_min(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "node" not in g.column_names:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "label": pa.array([], pa.int64())})
-        node = g["node"].to_numpy(zero_copy_only=False)
-        label = g["label"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((label, node))
-        ns, ls = node[order], label[order]
-        starts = np.ones(len(ns), bool)
-        starts[1:] = ns[1:] != ns[:-1]
-        si = np.flatnonzero(starts)
-        return pa.table({"node": ns[si], "label": ls[si]})
+    def init_min(g: pa.Table) -> pa.Table:
+        node, label = seg_min(_np(g, "node"), _np(g, "label"))
+        return pa.table({"node": node, "label": label})
 
     labels = (
-        edges.map_batches(init_rows, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(seg_min, batch_format="pyarrow")
+        exchange(
+            [edges.map_batches(init_rows, batch_format="pyarrow")], by_node,
+            init_min, node_label, schemas=[node_label],
+        )
         .repartition(n_blocks)
         .materialize()
     )
 
-    # ---- per-round tagged inputs (identical schemas for union) -----------
-    def tag_graph_edges(batch: pa.Table) -> pa.Table:
-        s = batch["src"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "__part": part_of(s),
-                "__side": pa.array(np.zeros(len(s), np.int8)),
-                "src": batch["src"],
-                "dst": batch["dst"],
-                "label": pa.nulls(len(s), pa.int64()),
-            }
-        )
-
-    def tag_pointer_edges(batch: pa.Table) -> pa.Table:
+    # ---- per round: (1) deliver labels along edges keyed by src ----------
+    def pointer_edges(batch: pa.Table) -> pa.Table:
         # label(n) -> n: delivers label(label(n)) next round (path halving)
-        lab = batch["label"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "__part": part_of(lab),
-                "__side": pa.array(np.zeros(len(lab), np.int8)),
-                "src": batch["label"],
-                "dst": batch["node"],
-                "label": pa.nulls(len(lab), pa.int64()),
-            }
-        )
+        return pa.table({"src": batch["label"], "dst": batch["node"]})
 
-    def tag_label_rows(batch: pa.Table) -> pa.Table:
-        n = batch["node"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "__part": part_of(n),
-                "__side": pa.array(np.ones(len(n), np.int8)),
-                "src": batch["node"],
-                "dst": pa.nulls(len(n), pa.int64()),
-                "label": batch["label"],
-            }
-        )
+    def label_rows(batch: pa.Table) -> pa.Table:
+        return pa.table({"src": batch["node"], "label": batch["label"]})
 
-    def deliver(g: pa.Table) -> pa.Table:
-        empty = pa.table({"node": pa.array([], pa.int64()),
-                          "cand": pa.array([], pa.int64())})
-        if g.num_rows == 0 or "__side" not in g.column_names:
-            return empty
-        side = g["__side"].to_numpy(zero_copy_only=False)
-        src = g["src"].to_numpy(zero_copy_only=False)
-        s1 = side == 1
-        # null-padded int64 columns must be filled BEFORE to_numpy or the
-        # whole column silently promotes to float64 (schema drift)
-        labv = (
-            pc.fill_null(g["label"], 0)
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        dstv = (
-            pc.fill_null(g["dst"], 0)
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        ns_u, ls_u = src[s1], labv[s1]
+    def deliver(e: pa.Table, pe: pa.Table, lab: pa.Table) -> pa.Table:
+        e = pa.concat_tables([e, pe])
+        ns_u, ls_u = _np(lab, "src"), _np(lab, "label")
         if len(ns_u) == 0:
-            return empty
+            return pa.table({"node": pa.array([], pa.int64()),
+                             "cand": pa.array([], pa.int64())})
         order = np.argsort(ns_u, kind="stable")
         ns, ls = ns_u[order], ls_u[order]
-        es = src[~s1]
-        ed = dstv[~s1]
+        es, ed = _np(e, "src"), _np(e, "dst")
         pos = np.clip(np.searchsorted(ns, es), 0, len(ns) - 1)
         ok = ns[pos] == es  # every edge src has a label row by construction
         return pa.table({"node": ed[ok], "cand": ls[pos][ok]})
 
-    def tag_cand(batch: pa.Table) -> pa.Table:
-        n = batch["node"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "__part": part_of(n),
-                "__cur": pa.array(np.zeros(len(n), np.int8)),
-                "node": batch["node"],
-                "label": batch["cand"],
-            }
+    # ---- (2) per-node min of delivered candidates vs the current label ---
+    def combine(cand: pa.Table, cur: pa.Table) -> pa.Table:
+        cn, cl = _np(cur, "node"), _np(cur, "label")
+        out_node, out_label = seg_min(
+            np.concatenate([_np(cand, "node"), cn]),
+            np.concatenate([_np(cand, "cand"), cl]),
         )
-
-    def tag_cur(batch: pa.Table) -> pa.Table:
-        n = batch["node"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "__part": part_of(n),
-                "__cur": pa.array(np.ones(len(n), np.int8)),
-                "node": batch["node"],
-                "label": batch["label"],
-            }
-        )
-
-    def combine(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "node" not in g.column_names:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "label": pa.array([], pa.int64()),
-                             "changed": pa.array([], pa.int64())})
-        node = g["node"].to_numpy(zero_copy_only=False)
-        label = g["label"].to_numpy(zero_copy_only=False)
-        cur = g["__cur"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((label, node))
-        ns, ls = node[order], label[order]
-        starts = np.ones(len(ns), bool)
-        starts[1:] = ns[1:] != ns[:-1]
-        si = np.flatnonzero(starts)
-        out_node, out_label = ns[si], ls[si]
-        cn, cl = node[cur == 1], label[cur == 1]
-        co = np.argsort(cn, kind="stable")
         # candidates only target existing nodes, so unique(node) == sorted
         # current nodes — a violated invariant must fail loudly, not corrupt
         if len(cn) != len(out_node):
             raise AssertionError("components: candidate for unlabeled node")
-        changed = (out_label < cl[co]).astype(np.int64)
-        return pa.table(
-            {"node": out_node, "label": out_label, "changed": changed}
-        )
+        changed = (out_label < cl[np.argsort(cn, kind="stable")])
+        return pa.table({"node": out_node, "label": out_label,
+                         "changed": changed.astype(np.int64)})
 
-    import os
-    import time
-
-    debug = bool(os.environ.get("COMPONENTS_DEBUG"))
-    for rnd in range(max_rounds):
-        t0 = time.time()
-        delivered = (
-            edges.map_batches(tag_graph_edges, batch_format="pyarrow")
-            .union(
-                labels.map_batches(tag_pointer_edges, batch_format="pyarrow"),
-                labels.map_batches(tag_label_rows, batch_format="pyarrow"),
-            )
-            .groupby("__part")
-            .map_groups(deliver, batch_format="pyarrow")
+    by_src = hash_part(["src"], P)
+    cand_schema = pa.schema([("node", pa.int64()), ("cand", pa.int64())])
+    for _ in range(max_rounds):
+        delivered = exchange(
+            [edges, labels.map_batches(pointer_edges, batch_format="pyarrow"),
+             labels.map_batches(label_rows, batch_format="pyarrow")],
+            by_src, deliver, cand_schema,
+            schemas=[edge_schema, edge_schema,
+                     pa.schema([("src", pa.int64()), ("label", pa.int64())])],
         )
-        new_labels = (
-            delivered.map_batches(tag_cand, batch_format="pyarrow")
-            .union(labels.map_batches(tag_cur, batch_format="pyarrow"))
-            .groupby("__part")
-            .map_groups(combine, batch_format="pyarrow")
-            .materialize()
-        )
-        t1 = time.time()
+        new_labels = exchange(
+            [delivered, labels], by_node, combine,
+            node_label.append(pa.field("changed", pa.int64())),
+            schemas=[cand_schema, node_label],
+        ).materialize()
         n_changed = new_labels.aggregate(
             Sum("changed", alias_name="changed")
         )["changed"]
-        t2 = time.time()
         labels = (
             new_labels.drop_columns(["changed"])
             .repartition(n_blocks)
             .materialize()
         )
-        if debug:
-            print(
-                f"components round {rnd}: changed={n_changed} "
-                f"exchange={t1 - t0:.2f}s agg={t2 - t1:.2f}s "
-                f"relabel={time.time() - t2:.2f}s"
-            )
         if not n_changed:
             break
     else:
@@ -836,9 +615,9 @@ def repartition_join(
     left_schema: "pa.Schema | None" = None,
     right_schema: "pa.Schema | None" = None,
 ):
-    """Generic equi-join on an integer key, built on the proven sort
-    exchange: both sides tag ``hash(on) % num_partitions`` and union (each
-    row moves exactly once), then each partition runs an in-process Arrow
+    """Generic equi-join on a key column, built on the proven sort
+    exchange: one two-sided ``exchange`` on ``hash_part(on)`` (each row
+    moves exactly once), then each partition runs an in-process Arrow
     hash join. Ray's own Dataset.join is deliberately avoided — its
     hash-shuffle backend deadlocks under constrained schedulers (measured
     here); the sort exchange + partition-local Acero join is the same
@@ -853,80 +632,30 @@ def repartition_join(
         raise ValueError(how)
     if num_partitions is None:
         num_partitions = derive_num_partitions(left, right)
-    # the tag functions need both sides' column types to null-fill the
-    # other side's slots; pass left_schema/right_schema when a side has an
-    # exchange upstream — Dataset.schema() on such a side executes the
-    # whole upstream pipeline just to learn the dtypes (and the real run
-    # then executes it again)
-    lschema = left_schema
-    if lschema is None:
-        lschema = left.schema(fetch_if_missing=False) or left.schema()
-    rschema = right_schema
-    if rschema is None:
-        rschema = right.schema(fetch_if_missing=False) or right.schema()
-    l_types = dict(zip(lschema.names, lschema.types))
-    r_types = dict(zip(rschema.names, rschema.types))
-    lcols = list(lschema.names)
+    # pass left_schema/right_schema when a side has an exchange upstream —
+    # Dataset.schema() on such a side executes the whole upstream pipeline
+    # just to learn the dtypes (and the real run then executes it again)
+    lschema = left_schema or side_schema(left)
+    rschema = right_schema or side_schema(right)
     rcols = [c for c in rschema.names if c != on]
     rename = {
-        c: (c + right_suffix if c in l_types else c) for c in rcols
+        c: (c + right_suffix if c in lschema.names else c) for c in rcols
     }
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = batch[on].to_numpy(zero_copy_only=False).astype(np.int64)
-            cols = {
-                "__part": pa.array((k % num_partitions).astype(np.int32)),
-                "__side": pa.array(np.full(batch.num_rows, side, np.int8)),
-                on: batch[on],
-            }
-            for c in lcols:
-                if c == on:
-                    continue
-                cols[c] = (
-                    batch[c] if side == 0
-                    else pa.nulls(batch.num_rows, l_types[c])
-                )
-            for c in rcols:
-                cols[rename[c]] = (
-                    batch[c] if side == 1
-                    else pa.nulls(batch.num_rows, r_types[c])
-                )
-            return pa.table(cols)
-
-        return fn
-
-    u = left.map_batches(tag(0), batch_format="pyarrow").union(
-        right.map_batches(tag(1), batch_format="pyarrow")
+    out_schema = pa.schema(
+        list(lschema) + [rschema.field(c).with_name(rename[c]) for c in rcols]
     )
-    out_names = [c for c in lcols] + [rename[c] for c in rcols]
+    join_type = {"inner": "inner", "left_outer": "left outer",
+                 "full_outer": "full outer"}[how]
 
-    def empty_out() -> pa.Table:
-        cols = {}
-        for c in lcols:
-            cols[c] = pa.array([], l_types[c])
-        for c in rcols:
-            cols[rename[c]] = pa.array([], r_types[c])
-        return pa.table(cols)
+    def join_part(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        rt = rt.rename_columns([rename.get(c, c) for c in rt.column_names])
+        j = lt.join(rt, keys=[on], join_type=join_type)
+        return j.select(out_schema.names)
 
-    def join_part(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "__side" not in group.column_names:
-            return empty_out()
-        side = group["__side"].to_numpy(zero_copy_only=False)
-        lt = group.filter(pa.array(side == 0)).select([on] + [
-            c for c in lcols if c != on
-        ])
-        rt = group.filter(pa.array(side == 1)).select([on] + [
-            rename[c] for c in rcols
-        ])
-        j = lt.join(
-            rt, keys=[on],
-            join_type={"inner": "inner", "left_outer": "left outer",
-                       "full_outer": "full outer"}[how],
-        )
-        return j.select(out_names)
-
-    return u.groupby("__part").map_groups(join_part, batch_format="pyarrow")
+    return exchange(
+        [left, right], hash_part([on], num_partitions), join_part,
+        out_schema, schemas=[lschema, rschema],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1037,36 +766,16 @@ def _segment_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
 
 def _window_exchange(ds, *, keys: list[str], cols: list[str],
                      num_partitions: int | None, kernel, out_schema):
-    """The one-exchange skeleton every partitioned window operator shares:
-    project to the needed columns, tag each row with a hash partition of
-    the window PARTITION BY keys (equal key tuples co-locate, like the
-    replay path's conv_id exchange, pipelines/replay.py:635), then run a
-    partition-local vectorized kernel over each partition at once — never
-    a per-group UDF. The trailing union with an empty typed table pins the
-    output schema even when every partition is empty."""
+    """The single-side ``exchange`` every partitioned window operator
+    shares: project to ``cols``, hash-partition on the window PARTITION BY
+    ``keys`` (equal key tuples co-locate), then run a partition-local
+    vectorized kernel over each partition at once — never a per-group UDF.
+    The output is typed by ``out_schema`` even when every partition is
+    empty."""
     if num_partitions is None:
         num_partitions = derive_num_partitions(ds)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols)
-        return t.append_column(
-            "__part", pa.array(_partition_codes(t, keys, num_partitions))
-        )
-
-    out = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(
-            lambda g: kernel(
-                g.drop_columns(["__part"])
-                if "__part" in g.column_names else g
-            ),
-            batch_format="pyarrow",
-        )
-    )
-    import ray.data as _rd
-
-    return out.union(_rd.from_arrow(out_schema.empty_table()))
+    return exchange([ds], hash_part(keys, num_partitions), kernel,
+                    out_schema, schemas=[cols])
 
 
 def top_n_per_group(ds, *, keys: list[str],
@@ -1093,13 +802,7 @@ def top_n_per_group(ds, *, keys: list[str],
     tames a mega-group that would otherwise land half the input on one
     partition. Same exchange shape as the LWW apply
     (stages/apply.py:151)."""
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     cols = list(sch.names)
     out_schema = pa.schema(
         [(c, sch.field(c).type) for c in cols] + [(out_rank, pa.int64())]
@@ -1126,8 +829,6 @@ def top_n_per_group(ds, *, keys: list[str],
         return local_topn(batch.select(cols)).select(cols + [out_rank])
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         return local_topn(
             part.select(cols)
         ).select(cols + [out_rank])
@@ -1155,13 +856,7 @@ def grouped_lag_delta(ds, *, keys: list[str],
     timestamp; timestamps diff into int64 microseconds (DuckDB
     ``date_diff('microsecond', ...)`` parity). All input columns pass
     through plus ``out_col``."""
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     cols = list(sch.names)
     val_t = sch.field(col).type
     out_t = pa.int64() if pa.types.is_temporal(val_t) else val_t
@@ -1170,8 +865,6 @@ def grouped_lag_delta(ds, *, keys: list[str],
     )
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by(
             [(k, "ascending") for k in keys] + list(order_by)
         )
@@ -1210,13 +903,7 @@ def grouped_rolling_sum(ds, *, keys: list[str],
     ``col`` must be integer (pre-scale money to cents — float window sums
     are not associative across engines) and non-null within frames; all
     input columns pass through plus ``out_col`` (int64)."""
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     cols = list(sch.names)
     out_schema = pa.schema(
         [(c, sch.field(c).type) for c in cols] + [(out_col, pa.int64())]
@@ -1224,8 +911,6 @@ def grouped_rolling_sum(ds, *, keys: list[str],
     w = int(window_rows)
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by(
             [(k, "ascending") for k in keys] + list(order_by)
         )
@@ -1261,13 +946,7 @@ def grouped_string_agg(ds, *, keys: list[str],
     segment offsets — no per-group concatenation loop. NULL values are
     skipped (SQL string_agg semantics); groups with only NULLs yield
     NULL."""
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     keys = list(keys)
     out_schema = pa.schema(
         [(k, sch.field(k).type) for k in keys] + [(out_col, pa.string())]
@@ -1277,8 +956,6 @@ def grouped_string_agg(ds, *, keys: list[str],
     ))
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by(
             [(k, "ascending") for k in keys] + list(order_by)
         )
@@ -1512,13 +1189,7 @@ def grouped_percentiles(ds, *, keys: list[str], col: str,
     if num_partitions is None:
         num_partitions = derive_num_partitions(ds)
     keys = list(keys)
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     types = dict(zip(sch.names, sch.types))
     val_t = types[col]
     # interpolate=True is SQL percentile_cont per group: the two neighbor
@@ -1530,18 +1201,9 @@ def grouped_percentiles(ds, *, keys: list[str], col: str,
         [(k, types[k]) for k in keys] + [(o, out_t) for o in qs]
     )
     in_cols = keys + ([col] if col not in keys else [])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        t = batch.select(in_cols)
-        return t.append_column(
-            "__part", pa.array(_partition_codes(t, keys, num_partitions))
-        )
-
     qlist = list(qs.items())
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0 or col not in part.column_names:
-            return out_schema.empty_table()
         vals = part[col]
         if isinstance(vals, pa.ChunkedArray):
             vals = vals.combine_chunks()
@@ -1593,20 +1255,10 @@ def grouped_percentiles(ds, *, keys: list[str], col: str,
             )
         return pa.table(cols)
 
-    out = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(
-            lambda g: kernel(
-                g.drop_columns(["__part"])
-                if "__part" in g.column_names else g
-            ),
-            batch_format="pyarrow",
-        )
+    return _window_exchange(
+        ds, keys=keys, cols=in_cols, num_partitions=num_partitions,
+        kernel=kernel, out_schema=out_schema,
     )
-    import ray.data as _rd
-
-    return out.union(_rd.from_arrow(out_schema.empty_table()))
 
 
 # ---------------------------------------------------------------------------
@@ -1777,11 +1429,7 @@ def broadcast_join(left, right, *, on: str, right_on: str | None = None,
     if rt is None:
         # zero-block right side: keep the TYPED empty table so the probe
         # index still knows the join column and output types
-        rschema = (right.schema(fetch_if_missing=False)
-              or right.schema())
-        if hasattr(rschema, "base_schema"):
-            rschema = rschema.base_schema
-        rt = rschema.empty_table()
+        rt = side_schema(right).empty_table()
     if rt.num_rows > max_right_rows:
         raise ValueError(
             f"broadcast_join: right side has {rt.num_rows} rows "
@@ -2071,13 +1719,7 @@ def grouped_rank(ds, *, keys: list[str],
     the SQL rank family."""
     if method not in ("dense", "rank", "percent_rank", "cume_dist"):
         raise ValueError(method)
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     cols = list(sch.names)
     out_type = (
         pa.float64() if method in ("percent_rank", "cume_dist")
@@ -2089,8 +1731,6 @@ def grouped_rank(ds, *, keys: list[str],
     ocols = [c for c, _ in order_by]
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by(
             [(k, "ascending") for k in keys] + list(order_by)
         )
@@ -2150,13 +1790,7 @@ def distinct_set_op(left, right, *, cols: list[str], op: str,
     to downstream SQL; first-class here (SURVEY §2 relational family)."""
     if op not in ("intersect", "except"):
         raise ValueError(op)
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (left.schema(fetch_if_missing=False)
-              or left.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(left)
     cols = list(cols)
     key_types = [sch.field(c).type for c in cols]
 
@@ -2213,21 +1847,13 @@ def grouped_ntile(ds, *, keys: list[str],
     NTILE is position-based, so ties are split by position."""
     if n < 1:
         raise ValueError("ntile n must be >= 1")
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     cols = list(sch.names)
     out_schema = pa.schema(
         [(c, sch.field(c).type) for c in cols] + [(out_col, pa.int64())]
     )
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by(
             [(k, "ascending") for k in keys] + list(order_by)
         )
@@ -2270,13 +1896,7 @@ def global_top_k(ds, *, order_by: list[tuple[str, str]], k: int,
     arbitrary sort key at corpus scale."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     out_schema = pa.schema([(c, sch.field(c).type) for c in sch.names])
 
     def local(batch: pa.Table) -> pa.Table:
@@ -2309,13 +1929,7 @@ def grouped_first_last(ds, *, keys: list[str],
     Arrow take (type-agnostic — works for strings/binary, no numpy
     round-trip). ``order_by`` needs a unique tiebreak for deterministic
     first/last under ties."""
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     cols = list(sch.names)
     vt = sch.field(value_col).type
     out_schema = pa.schema(
@@ -2324,8 +1938,6 @@ def grouped_first_last(ds, *, keys: list[str],
     )
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by(
             [(k, "ascending") for k in keys] + list(order_by)
         )
@@ -2376,19 +1988,14 @@ def prefix_sum(ds, *, order_col: str, val_col: str,
 
     if num_partitions is None:
         num_partitions = derive_num_partitions(ds)
+    sch = side_schema(ds)
+    out_schema = sch.append(pa.field(out_col, pa.int64()))
     stats = ds.aggregate(
         _RayMin(order_col, alias_name="lo"), _RayMax(order_col, alias_name="hi")
     )
     lo, hi = stats["lo"], stats["hi"]
     if lo is None:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        base = sch.base_schema if hasattr(sch, "base_schema") else sch
-        empty = pa.schema(
-            [(n, t) for n, t in zip(base.names, base.types)]
-            + [(out_col, pa.int64())]
-        ).empty_table()
-        return _rd.from_arrow(empty)
+        return _rd.from_arrow(out_schema.empty_table())
     width = max(1, (int(hi) - int(lo) + num_partitions) // num_partitions)
 
     def part_of(batch: pa.Table) -> np.ndarray:
@@ -2420,28 +2027,18 @@ def prefix_sum(ds, *, order_col: str, val_col: str,
     offsets = np.concatenate(([0], np.cumsum(totals)[:-1]))
     off_ref = ray.put(offsets)
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column("__part", pa.array(part_of(batch)))
-
-    def kernel(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return group.append_column(out_col, pa.array([], pa.int64()))
-        offs = ray.get(off_ref)
-        pcode = int(group["__part"][0].as_py())
-        t = group.drop_columns(["__part"]).sort_by([(order_col, "ascending")])
+    def kernel(t: pa.Table) -> pa.Table:
+        pcode = part_of(t.slice(0, 1))[0]  # one range per kernel call
+        t = t.sort_by([(order_col, "ascending")])
         v = pc.fill_null(t[val_col].cast(pa.int64()), 0).to_numpy(
             zero_copy_only=False
         ).astype(np.int64)
         return t.append_column(
-            out_col, pa.array(np.cumsum(v) + offs[pcode], pa.int64())
+            out_col,
+            pa.array(np.cumsum(v) + ray.get(off_ref)[pcode], pa.int64()),
         )
 
-    out = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(kernel, batch_format="pyarrow")
-    )
-    return out
+    return exchange([ds], part_of, kernel, out_schema, schemas=[sch])
 
 
 def grouping_sets_aggregate(ds, *, keys: list[str],
@@ -2559,13 +2156,7 @@ def grouped_rolling_range_sum(ds, *, keys: list[str], order_col: str,
     falls back to per-segment searchsorted (correct, rarely taken; at
     cluster scale partitions bound segment count so the fast path holds).
     ``col`` must be integer (pre-scale money); NULLs sum as 0."""
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     cols = list(sch.names)
     out_schema = pa.schema(
         [(c, sch.field(c).type) for c in cols] + [(out_col, pa.int64())]
@@ -2573,8 +2164,6 @@ def grouped_rolling_range_sum(ds, *, keys: list[str], order_col: str,
     w = int(range_preceding)
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by(
             [(k, "ascending") for k in keys] + [(order_col, "ascending")]
         )
@@ -2736,10 +2325,7 @@ def funnel_stages(ds, *, key: str, ts_col: str, type_col: str,
 
     Reference analog: none — the event-sequence family member (SURVEY
     §2.5 extension), same exchange shape as grouped_lag_delta."""
-    sch = (ds.schema(fetch_if_missing=False)
-          or ds.schema())
-    if hasattr(sch, "base_schema"):
-        sch = sch.base_schema
+    sch = side_schema(ds)
     key_type = sch.field(key).type
     out_schema = pa.schema([
         (key, key_type),
@@ -2749,8 +2335,6 @@ def funnel_stages(ds, *, key: str, ts_col: str, type_col: str,
     stage_list = list(stages)
 
     def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         order = pc.sort_indices(t, sort_keys=[(key, "ascending")])
         t = t.take(order)
         starts = _segment_starts(t, [key])
@@ -2884,8 +2468,6 @@ def triangle_count(edges, *, num_partitions: int | None = None):
     ])
 
     def wedges(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return wedge_schema.empty_table()
         u = t["u"].to_numpy(zero_copy_only=False)
         v = t["v"].to_numpy(zero_copy_only=False)
         dv = t["dv"].to_numpy(zero_copy_only=False)
@@ -3036,14 +2618,8 @@ def skyline_2d(ds, *, x_col: str, y_col: str,
     ))
     carry_ref = ray.put(carry)
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("__part", pa.array(part_of(t)))
-
     def kernel(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or x_col not in g.column_names:
-            return out_schema.empty_table()
-        pcode = int(g["__part"][0].as_py())
-        cin = int(ray.get(carry_ref)[pcode])
+        cin = int(ray.get(carry_ref)[part_of(g.slice(0, 1))[0]])
         x = g[x_col].to_numpy(zero_copy_only=False)
         y = g[y_col].to_numpy(zero_copy_only=False)
         order = np.lexsort((-y, x))
@@ -3056,12 +2632,8 @@ def skyline_2d(ds, *, x_col: str, y_col: str,
             y_col: pa.array(y[keep], pa.int64()),
         })
 
-    out = (
-        cand.map_batches(tag, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(kernel, batch_format="pyarrow")
-    )
-    return out.union(_rd.from_arrow(out_schema.empty_table()))
+    return exchange([cand], part_of, kernel, out_schema,
+                    schemas=[out_schema])
 
 
 def profile_nulls(ds, *, columns: list[str]):
@@ -3123,13 +2695,7 @@ def grouped_adjacent_pairs(ds, *, keys: list[str],
 
     Reference analog: none — the event-sequence family (SURVEY §2.5
     extension), same exchange shape as grouped_lag_delta."""
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     need = list(dict.fromkeys(
         keys + [c for c, _ in order_by if c in sch.names]
         + from_cols + to_cols + ([order_col] if order_col else [])
@@ -3142,8 +2708,6 @@ def grouped_adjacent_pairs(ds, *, keys: list[str],
     out_schema = pa.schema(out_fields)
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by(
             [(k, "ascending") for k in keys] + list(order_by)
         )
@@ -3197,13 +2761,7 @@ def grouped_nth_value(ds, *, keys: list[str],
     Reference analog: none (SURVEY §2 O-family window completion)."""
     if nth < 1:
         raise ValueError("nth must be >= 1")
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     cols = list(sch.names)
     out_schema = pa.schema(
         [(c, sch.field(c).type) for c in cols]
@@ -3211,8 +2769,6 @@ def grouped_nth_value(ds, *, keys: list[str],
     )
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by(
             [(k, "ascending") for k in keys] + list(order_by)
         )
@@ -3264,13 +2820,7 @@ def grouped_drawdown(ds, *, keys: list[str],
     to cents); output is one row per group: keys..., peak, max_drawdown,
     n — a combiner-sized result, so the exchange is the only data
     movement."""
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     cols = list(dict.fromkeys(
         keys + [c for c, _ in order_by] + [col]
     ))
@@ -3281,8 +2831,6 @@ def grouped_drawdown(ds, *, keys: list[str],
     )
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by(
             [(k, "ascending") for k in keys] + list(order_by)
         )
@@ -3338,13 +2886,7 @@ def grouped_rolling_minmax(ds, *, keys: list[str],
     clamp at their segment head exactly like grouped_rolling_sum's.
     ``col`` must be int64-castable and non-null; all input columns pass
     through plus ``out_max``/``out_min`` (int64)."""
-    if schema is not None:
-        sch = schema
-    else:
-        sch = (ds.schema(fetch_if_missing=False)
-              or ds.schema())
-        if hasattr(sch, "base_schema"):
-            sch = sch.base_schema
+    sch = schema or side_schema(ds)
     cols = list(sch.names)
     out_schema = pa.schema(
         [(c, sch.field(c).type) for c in cols]
@@ -3394,8 +2936,6 @@ def grouped_rolling_minmax(ds, *, keys: list[str],
         return acc[:n], suf
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by(
             [(k, "ascending") for k in keys] + list(order_by)
         )

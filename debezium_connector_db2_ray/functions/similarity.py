@@ -29,6 +29,13 @@ def _normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
+#: per-batch top-k partials of BruteForceTopK / SqlParityLshTopK; a 0-row
+#: batch yields this typed empty (an empty embedding column has no width)
+TOPK_PARTIAL_SCHEMA = pa.schema(
+    [("query_id", pa.int64()), ("vec_id", pa.int64()), ("sim", pa.float64())]
+)
+
+
 class BruteForceTopK:
     """Actor-pool stage: per-batch cosine top-k against the broadcast query
     matrix. Emits (query_id, vec_id, sim) partials; merge with a final
@@ -44,6 +51,8 @@ class BruteForceTopK:
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return TOPK_PARTIAL_SCHEMA.empty_table()
         m = _normalize_rows(_batch_matrix(batch))
         ids = batch["vec_id"].to_numpy(zero_copy_only=False)
         sims = self.qm @ m.T  # (Q, B)
@@ -439,6 +448,8 @@ class SqlParityLshTopK:
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return TOPK_PARTIAL_SCHEMA.empty_table()
         raw = _batch_matrix(batch)
         cb = sqlparity_bucket(raw, self.planes)
         m = _normalize_rows(raw)
@@ -740,6 +751,10 @@ class KnnLabelPartial:
         self.label_col = label_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return TOPK_PARTIAL_SCHEMA.insert(
+                2, pa.field("label", pa.int64())
+            ).empty_table()
         m = _normalize_rows(_batch_matrix(batch))
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(
             np.int64

@@ -15,6 +15,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from debezium_connector_db2_ray.functions.exchange import (
+    exchange,
+    hash_part,
+    side_schema,
+)
+
 HOUR_US = 3_600_000_000
 
 
@@ -41,11 +47,7 @@ def tumbling_counts(ds, *, width_hours: int = 24):
             }
         )
 
-    in_sch = (ds.schema(fetch_if_missing=False)
-
-          or ds.schema())
-    if hasattr(in_sch, "base_schema"):
-        in_sch = in_sch.base_schema
+    in_sch = side_schema(ds)
     return grouped_aggregate(
         ds.map_batches(project, batch_format="pyarrow", batch_size=400_000),
         keys=["user_id", "bucket"],
@@ -113,11 +115,7 @@ def sliding_counts(ds, *, key_col: str = "event_type",
             "n": pa.array(counts.astype(np.int64)),
         })
 
-    in_sch = (ds.schema(fetch_if_missing=False)
-
-          or ds.schema())
-    if hasattr(in_sch, "base_schema"):
-        in_sch = in_sch.base_schema
+    in_sch = side_schema(ds)
     return grouped_aggregate(
         ds.map_batches(partial, batch_format="pyarrow", batch_size=400_000),
         keys=[key_col, "win_start_us"],
@@ -143,6 +141,16 @@ def sessionize(ds, *, gap_minutes: int = 120):
     with consecutive gaps <= gap always appears as intervals within gap of
     each other), so a mega-user costs O(their sessions) at the merge, not
     O(their events) on one worker — the round-1 hot-user hazard is gone."""
+    from debezium_connector_db2_ray.functions.relational import (
+        derive_num_partitions,
+    )
+
+    utype = side_schema(ds).field("user_id").type
+    out_schema = pa.schema([
+        ("user_id", utype), ("session_idx", pa.int64()),
+        ("n_events", pa.int64()), ("start_ts", pa.timestamp("us")),
+        ("end_ts", pa.timestamp("us")),
+    ])
     gap_us = np.int64(gap_minutes) * np.int64(60_000_000)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -181,21 +189,6 @@ def sessionize(ds, *, gap_minutes: int = 120):
         sort by (user, start, end); the per-user running cummax of ends
         (the interval-merge 'reach') comes from pandas' C-grouped cummax,
         so no per-user Python/UDF calls happen anywhere."""
-        if part.num_rows == 0 or "start_ts" not in part.column_names:
-            # preserve the caller's user_id type (string ids are supported)
-            utype = (
-                part["user_id"].type
-                if "user_id" in part.column_names else pa.int64()
-            )
-            return pa.table(
-                {
-                    "user_id": pa.array([], utype),
-                    "session_idx": pa.array([], pa.int64()),
-                    "n_events": pa.array([], pa.int64()),
-                    "start_ts": pa.array([], pa.timestamp("us")),
-                    "end_ts": pa.array([], pa.timestamp("us")),
-                }
-            )
         uid = part["user_id"].to_numpy(zero_copy_only=False)
         s = part["start_ts"].to_numpy(zero_copy_only=False)
         e = part["end_ts"].to_numpy(zero_copy_only=False)
@@ -232,32 +225,12 @@ def sessionize(ds, *, gap_minutes: int = 120):
             }
         )
 
-    def tag(t: pa.Table) -> pa.Table:
-        # shared table-level partitioner (handles int/float/string keys)
-        from debezium_connector_db2_ray.functions.relational import (
-            _partition_codes,
-        )
-
-        return t.append_column(
-            "__part", pa.array(_partition_codes(t, ["user_id"], _P))
-        )
-
-    from debezium_connector_db2_ray.functions.relational import (
-        derive_num_partitions,
-    )
-
-    _P = derive_num_partitions(ds)
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=400_000)
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(
-            lambda g: merge(
-                g.drop_columns(["__part"])
-                if "__part" in g.column_names else g
-            ),
-            batch_format="pyarrow",
-        )
+    return exchange(
+        [ds.map_batches(partial, batch_format="pyarrow", batch_size=400_000)],
+        hash_part(["user_id"], derive_num_partitions(ds)), merge, out_schema,
+        schemas=[pa.schema([("user_id", utype), ("start_ts", pa.int64()),
+                            ("end_ts", pa.int64()),
+                            ("n_events", pa.int64())])],
     )
 
 
@@ -285,18 +258,12 @@ def late_event_filter(ds, *, key_col: str, order_col: str, ts_col: str,
         derive_num_partitions,
     )
 
-    sch = (ds.schema(fetch_if_missing=False)
-
-          or ds.schema())
-    base = sch.base_schema if hasattr(sch, "base_schema") else sch
-    cols = list(base.names)
-    out_schema = pa.schema(list(zip(base.names, base.types)))
+    out_schema = side_schema(ds)
+    cols = list(out_schema.names)
     if num_partitions is None:
         num_partitions = derive_num_partitions(ds)
 
     def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
         t = part.sort_by([(key_col, "ascending"), (order_col, "ascending")])
         ts = t[ts_col]
         if isinstance(ts, pa.ChunkedArray):

@@ -496,14 +496,17 @@ def attach_grouped_count(rows, counts, *, key_col: str, count_col: str,
                          num_partitions: int | None = None,
                          rows_schema: "pa.Schema | None" = None):
     """Attach a (key -> count) table to a row stream on a possibly-STRING
-    key without a broadcast: both sides hash-exchange on the key, and a
-    partition-local vectorized kernel sorts by key and np.repeats each
-    segment's count row across its payload rows — the join-by-another-name
-    for keys too wide (a full vocabulary) to ship to every task. Rows
-    whose key has no count row are dropped (inner semantics)."""
+    key without a broadcast: one two-sided ``exchange`` on the key, and a
+    partition-local vectorized kernel looks each payload row's key up in
+    the partition's sorted count rows — the join-by-another-name for keys
+    too wide (a full vocabulary) to ship to every task. Rows whose key has
+    no count row are dropped (inner semantics)."""
+    from debezium_connector_db2_ray.functions.exchange import (
+        exchange,
+        hash_part,
+        side_schema,
+    )
     from debezium_connector_db2_ray.functions.relational import (
-        _partition_codes,
-        _segment_starts,
         derive_num_partitions,
     )
 
@@ -511,73 +514,27 @@ def attach_grouped_count(rows, counts, *, key_col: str, count_col: str,
         num_partitions = derive_num_partitions(rows)
     # pass rows_schema when rows has an exchange upstream: Dataset.schema()
     # would execute that upstream once just to learn the dtypes
-    sch = rows_schema
-    if sch is None:
-        sch = rows.schema(fetch_if_missing=False) or rows.schema()
-    if hasattr(sch, "base_schema"):
-        sch = sch.base_schema
+    sch = rows_schema or side_schema(rows)
     payload = [c for c in sch.names if c != key_col]
-    types = dict(zip(sch.names, sch.types))
-    out_schema = pa.schema(
-        [(key_col, types[key_col])]
-        + [(c, types[c]) for c in payload]
-        + [(out_col, pa.int64())]
+    rows_schema = pa.schema([sch.field(key_col)]
+                            + [sch.field(c) for c in payload])
+    out_schema = rows_schema.append(pa.field(out_col, pa.int64()))
+
+    def kernel(rt: pa.Table, ct: pa.Table) -> pa.Table:
+        # count rows are unique per key (a grouped count): index_in finds
+        # each payload key's one count row, NULL matching NULL
+        pos = pc.index_in(rt[key_col],
+                          value_set=ct[key_col].combine_chunks())
+        out = rt.filter(pc.is_valid(pos))
+        cnt = ct[count_col].take(pos.drop_null())
+        return out.append_column(out_col, cnt)
+
+    return exchange(
+        [rows, counts], hash_part([key_col], num_partitions), kernel,
+        out_schema,
+        schemas=[rows_schema,
+                 pa.schema([sch.field(key_col), (count_col, pa.int64())])],
     )
-
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            cols = {key_col: t[key_col]}
-            for c in payload:
-                cols[c] = (
-                    t[c] if side == 0 else pa.nulls(t.num_rows, types[c])
-                )
-            cols["__cnt"] = (
-                pa.nulls(t.num_rows, pa.int64()) if side == 0
-                else t[count_col].cast(pa.int64())
-            )
-            cols["__side"] = pa.array(
-                np.full(t.num_rows, side, np.int8)
-            )
-            out = pa.table(cols)
-            return out.append_column(
-                "__part",
-                pa.array(_partition_codes(out, [key_col], num_partitions)),
-            )
-
-        return fn
-
-    def kernel(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "__side" not in g.column_names:
-            return out_schema.empty_table()
-        g = g.drop_columns(["__part"]) if "__part" in g.column_names else g
-        order = pc.sort_indices(
-            g, sort_keys=[(key_col, "ascending"), ("__side", "descending")]
-        )
-        g = g.take(order)
-        starts = _segment_starts(g, [key_col])
-        side = g["__side"].to_numpy(zero_copy_only=False)
-        cnt = pc.fill_null(g["__cnt"], 0).to_numpy(zero_copy_only=False)
-        n = g.num_rows
-        seg_id = np.zeros(n, np.int64)
-        seg_id[starts[1:]] = 1
-        seg_id = np.cumsum(seg_id)
-        # count row (side 1) sorts FIRST in its segment; a segment whose
-        # first row is a payload row has no count -> drop (inner join)
-        has_cnt = side[starts] == 1
-        seg_cnt = cnt[starts]
-        keep = (side == 0) & has_cnt[seg_id]
-        out = g.filter(pa.array(keep)).select([key_col] + payload)
-        return out.append_column(
-            out_col, pa.array(seg_cnt[seg_id][keep], pa.int64())
-        )
-
-    u = rows.map_batches(tag(0), batch_format="pyarrow").union(
-        counts.map_batches(tag(1), batch_format="pyarrow")
-    )
-    out = u.groupby("__part").map_groups(kernel, batch_format="pyarrow")
-    import ray.data as _rd
-
-    return out.union(_rd.from_arrow(out_schema.empty_table()))
 
 
 def collocation_counts(ds, *, text_col: str = "text", min_count: int = 3,

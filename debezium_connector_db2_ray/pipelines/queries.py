@@ -205,11 +205,18 @@ FROM ranked WHERE rn = 1 AND op <> 1
 
 
 def _events(sf_dir: str):
+    """The events source, read with its footer schema minus the
+    schema-level ``pandas`` metadata the file was written with: that dict
+    makes the schema unhashable, and Ray logs ``Failed to hash the
+    schemas`` whenever it unifies the read's block schemas."""
     import ray.data as rd
 
+    path = f"{sf_dir}/events.parquet"
+    cols = ["event_id", "user_id", "event_type", "props", "ts"]
+    sch = pq.read_schema(path)
     return rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "event_type", "props", "ts"],
+        path, columns=cols,
+        schema=pa.schema([sch.field(c) for c in cols]),
     )
 
 
@@ -503,7 +510,9 @@ def q_lineage_counts(sf_dir: str):
         g = df.groupby(["bucket", "op"], as_index=False).agg(
             n=("lsn", "size"), min_lsn=("lsn", "min"), max_lsn=("lsn", "max")
         )
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.Table.from_pandas(
+            g, preserve_index=False
+        ).replace_schema_metadata(None)  # no unhashable pandas dict
 
     out = (
         cl.map_batches(partial, batch_format="pyarrow")
@@ -971,26 +980,21 @@ def q_partial_update_coalesce(sf_dir: str):
         )
         return t.set_column(t.column_names.index("text"), "text", text)
 
+    from debezium_connector_db2_ray.functions.exchange import (
+        exchange,
+        hash_part,
+    )
+
     cl = _events(sf_dir).map_batches(derive_partial, batch_format="pyarrow")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        from debezium_connector_db2_ray.stages.apply import partition_ids
-
-        pid = partition_ids(
-            batch["conv_id"],
-            batch["turn_idx"].to_numpy(zero_copy_only=False),
-            NP,
-        )
-        return batch.append_column("__part", pa.array(pid, pa.int32()))
+    cols = ["conv_id", "turn_idx", "role", "text", "tool"]
+    cs = changelog_schema()
 
     def merge(group: pa.Table) -> pa.Table:
-        out = coalesce_collapse(group.drop_columns(["__part"]))
-        return out.select(["conv_id", "turn_idx", "role", "text", "tool"])
+        return coalesce_collapse(group).select(cols)
 
-    return (
-        cl.map_batches(tag, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(merge, batch_format="pyarrow")
+    return exchange(
+        [cl], hash_part(["conv_id", "turn_idx"], NP), merge,
+        pa.schema([(c, cs.field(c).type) for c in cols]), schemas=[cs],
     )
 
 
@@ -1090,31 +1094,28 @@ def q_transaction_feed(sf_dir: str):
     and total_order serials (TransactionMetadataIT.java:63-119). Synthetic
     transactions group {TX_GROUP} consecutive commits; the feed is computed
     tx-locally after a hash partition on tx id."""
+    from debezium_connector_db2_ray.functions.exchange import (
+        exchange,
+        hash_part,
+    )
     from debezium_connector_db2_ray.stages.transactions import transaction_feed
 
-    cl = _events(sf_dir).map_batches(derive_changelog, batch_format="pyarrow")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        lsn = batch["commit_lsn_lo"].to_numpy(zero_copy_only=False)
-        # group commits into transactions of TX_GROUP; partition by tx hash
-        tx = (lsn // TX_GROUP).astype(np.uint64)
-        batch = batch.set_column(
-            batch.column_names.index("commit_lsn_lo"),
+    def to_tx(batch: pa.Table) -> pa.Table:
+        # group commits into transactions of TX_GROUP
+        t = derive_changelog(batch)
+        lsn = t["commit_lsn_lo"].to_numpy(zero_copy_only=False)
+        return t.set_column(
+            t.column_names.index("commit_lsn_lo"),
             "commit_lsn_lo",
-            pa.array(tx, pa.uint64()),
+            pa.array((lsn // TX_GROUP).astype(np.uint64), pa.uint64()),
         )
-        part = (tx % NP).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
 
-    def feed(group: pa.Table) -> pa.Table:
-        return transaction_feed(group.drop_columns(["__part"]))
-
-    out = (
-        cl.map_batches(tag, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(feed, batch_format="pyarrow")
+    cs = changelog_schema()
+    return exchange(
+        [_events(sf_dir).map_batches(to_tx, batch_format="pyarrow")],
+        hash_part(["commit_lsn_lo"], NP), transaction_feed,
+        transaction_feed(cs.empty_table()).schema, schemas=[cs],
     )
-    return out
 
 
 CDC_QUERIES: dict[str, Callable[[str], Any]] = {
@@ -1209,8 +1210,6 @@ def q_scd2_history(sf_dir: str):
     ])
 
     def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         order = pc.sort_indices(t, sort_keys=[
             ("conv_id", "ascending"), ("turn_idx", "ascending"),
             ("lsn", "ascending"),
@@ -2746,8 +2745,6 @@ def q_scd2_temporal_join(sf_dir: str):
     ])
 
     def versions(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return iv_schema.empty_table()
         t = part.sort_by([("k", "ascending"), ("lsn", "ascending")])
         n = t.num_rows
         starts = _segment_starts(t, ["k"])

@@ -46,6 +46,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
+from debezium_connector_db2_ray.functions.exchange import exchange
 from debezium_connector_db2_ray.lsn import Lsn, lsn_hex, lsn_range_mask
 from debezium_connector_db2_ray.schema import (
     CHANGELOG_META_COLUMNS,
@@ -96,27 +97,40 @@ _MANIFEST_ROW_SCHEMA = pa.schema(
 )
 
 
-def tag_partitions(num_partitions: int, salt: int = 1,
-                   key_columns: tuple[str, ...] = KEY_COLUMNS):
-    """map_batches fn: drop NULL-LSN rows and add the hash-partition column.
-    Partitions by hash of the FIRST key column; ``salt`` sub-partitions by
-    the second (requires a composite key)."""
+def key_partitioner(num_partitions: int, salt: int = 1,
+                    key_columns: tuple[str, ...] = KEY_COLUMNS):
+    """``table -> int32 partition codes`` of the replay layout: hash of the
+    FIRST key column; ``salt`` sub-partitions by the second (requires a
+    composite key)."""
     sub_col = key_columns[1] if len(key_columns) > 1 else None
     if salt > 1 and sub_col is None:
         raise ValueError(
             "salting requires a second key column to sub-partition by"
         )
 
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = drop_null_lsn(batch)
-        pid = partition_ids(
+    def part(batch: pa.Table) -> np.ndarray:
+        return partition_ids(
             batch[key_columns[0]],
             batch[sub_col].to_numpy(zero_copy_only=False)
             if sub_col is not None else None,
             num_partitions,
             salt,
         )
-        return batch.append_column(PART_COL, pa.array(pid, pa.int32()))
+
+    return part
+
+
+def tag_partitions(num_partitions: int, salt: int = 1,
+                   key_columns: tuple[str, ...] = KEY_COLUMNS):
+    """map_batches fn: drop NULL-LSN rows and add the persisted
+    hash-partition column (``key_partitioner``)."""
+    part = key_partitioner(num_partitions, salt, key_columns)
+
+    def fn(batch: pa.Table) -> pa.Table:
+        batch = drop_null_lsn(batch)
+        return batch.append_column(
+            PART_COL, pa.array(part(batch), pa.int32())
+        )
 
     return fn
 
@@ -1077,7 +1091,7 @@ def apply_dataset(
     if combiner and validate_pairs:
         raise ValueError("combiner requires validate_pairs=False")
     keys = tuple(key_columns) if key_columns else KEY_COLUMNS
-    tagger = tag_partitions(num_partitions, salt, keys)
+    part = key_partitioner(num_partitions, salt, keys)
 
     def conform(batch: pa.Table) -> pa.Table:
         return batch if target is None else conform_table(batch, target)
@@ -1085,29 +1099,29 @@ def apply_dataset(
     def prep(batch: pa.Table) -> pa.Table:
         if fence is not None:
             batch = fence_filter(batch, fence)
-        batch = tagger(conform(batch))
+        batch = drop_null_lsn(conform(batch))
         if combiner:
             batch = lww_collapse(
                 batch, validate_pairs=False, partial=True, key_columns=keys
             )
         return batch
 
-    ds = changelog.map_batches(prep, batch_format="pyarrow", batch_size=batch_size)
+    sides = [changelog.map_batches(prep, batch_format="pyarrow",
+                                   batch_size=batch_size)]
     if snapshot is not None:
         if fence is None:
             raise ValueError("snapshot requires snapshot_lsn")
 
         def snap_prep(batch: pa.Table) -> pa.Table:
-            return tagger(conform(snapshot_as_events(batch, fence)))
+            return drop_null_lsn(conform(snapshot_as_events(batch, fence)))
 
-        ds = ds.union(
-            snapshot.map_batches(snap_prep, batch_format="pyarrow", batch_size=batch_size)
-        )
+        sides.append(snapshot.map_batches(
+            snap_prep, batch_format="pyarrow", batch_size=batch_size
+        ))
 
-    def apply_group(group: pa.Table) -> pa.Table:
+    def apply_group(*groups: pa.Table) -> pa.Table:
         collapsed = lww_collapse(
-            group.drop_columns([PART_COL]),
-            validate_pairs=validate_pairs,
+            pa.concat_tables(groups), validate_pairs=validate_pairs,
             key_columns=keys,
         )
         state = final_state(collapsed, keep_meta=keep_meta)
@@ -1115,7 +1129,10 @@ def apply_dataset(
             return post_kernel(state)
         return state
 
-    return ds.groupby(PART_COL).map_groups(apply_group, batch_format="pyarrow")
+    # stream and snapshot events are two sides of one exchange (both
+    # conformed to ``target``), so each side's prep stays fused with the tag
+    return exchange(sides, part, apply_group, None,
+                    schemas=None if target is None else [target, target])
 
 
 _LSN_COLS = ["commit_lsn_hi", "commit_lsn_lo", "intent_lsn_hi", "intent_lsn_lo"]
