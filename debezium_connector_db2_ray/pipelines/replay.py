@@ -6,22 +6,30 @@ Db2StreamingChangeEventSource.java:132-302) reshaped for Ray Data:
 
   snapshot:  read_parquet(lake) --map_batches(partition tag)-->
              groupby(part) --map_groups(collapse + staged write)--> manifest
-  window w:  read_parquet(changelog, filter lsn in (from, to]) -->
+  window w, shuffle exchange:
+             read_parquet(changelog, filter lsn in (from, to]) -->
              map_batches(null-LSN drop, partition tag [, partial LWW]) -->
              groupby(part) shuffle -->
              map_groups(sort, pair-validate, LWW apply, staged write) -->
              commit manifest (watermark = to_lsn)
+  window w, write exchange over a changelog path:
+             row groups pruned to (from, to] by cached footer stats -->
+             one plain Ray task per unit of row groups (read, null-LSN
+             drop, partition tag, partial LWW, fragment write) -->
+             commit manifest (watermark = to_lsn)
 
-Each window is one bounded Dataset execution (the reference's poll iteration,
-which drains a closed interval [fromLsn, currentMaxLsn] completely). State
+Each window is one bounded unit of work (the reference's poll iteration,
+which drains a closed interval [fromLsn, currentMaxLsn] completely): a Ray
+Data job on the shuffle exchange, a handful of tasks planned from parquet
+footers on the write exchange (no job launch per small window). State
 between windows lives ONLY in committed manifests + their parquet files —
 merge-on-read deltas with periodic compaction — so a kill at any point resumes
 cleanly: committed windows are skipped by watermark, the interrupted window
 re-runs idempotently (LWW) and its orphaned staged files stay invisible.
 
 Scale notes (100 TB design):
-- the changelog read prunes columns and pushes the LSN-range filter to parquet
-  row groups;
+- a changelog path is read only in the row groups whose commit-LSN stats
+  intersect the window;
 - the only all-to-all exchange per window is the groupby on the int32 ``part``
   column; with the per-batch partial collapse (fast path, no strict pair
   validation), shuffle volume is bounded by (#distinct keys touched) not
@@ -34,6 +42,7 @@ Scale notes (100 TB design):
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import uuid
@@ -191,13 +200,19 @@ def staged_writer(delta_dir: str, *, validate_pairs: bool,
 
 def fragment_writer(delta_dir: str, *,
                     key_columns: tuple[str, ...] = KEY_COLUMNS):
-    """map_batches fn for the WRITE-EXCHANGE sink: partial-collapse the batch,
-    cluster it by hash partition, and write ONE fragment parquet whose row
-    groups are partition-aligned — then emit one manifest row per partition
-    present. No Ray all-to-all at all: the 'shuffle' happens at read time via
-    ``__part`` row-group pruning (merge-on-read, write-optimized — the
-    Hudi/Delta MOR shape). Per-window plasma traffic collapses from
-    O(events) to O(manifest rows)."""
+    """``batch -> manifest rows`` kernel of the WRITE-EXCHANGE sink:
+    partial-collapse a tagged batch, cluster it by hash partition, and write
+    ONE fragment parquet whose row groups are partition-aligned — then emit
+    one manifest row per partition present. No Ray all-to-all at all: the
+    'shuffle' happens at read time via ``__part`` row-group pruning
+    (merge-on-read, write-optimized — the Hudi/Delta MOR shape), so a
+    window's traffic to the driver is O(manifest rows), not O(events).
+
+    It runs in the plain stage tasks (``_stage_task``) of a
+    ``replay_from_parquet`` window, one call per ~``batch_size`` prepped
+    rows of a unit of row groups, and of ``compact()``, one call per
+    partition; ``replay_window`` over a Dataset maps it with
+    ``map_batches``."""
 
     def fn(batch: pa.Table) -> pa.Table:
         batch = lww_collapse(batch, validate_pairs=False, partial=True,
@@ -281,14 +296,19 @@ class CdcEngine:
       with ``validate_pairs=False`` each batch is partially collapsed before
       the shuffle. The replay benchmark's ``connector_strict`` workload
       measures this path.
-    - "write": no all-to-all — map tasks write partition-clustered fragment
-      files directly; collapse happens at read/compaction (write-optimized,
-      5x+ faster per window on plasma-bound hosts; fast path only). The
-      ``long_horizon`` workload and the ``bench.py`` headline measure it.
+    - "write": no all-to-all — tasks write partition-clustered fragment
+      files directly; collapse happens at read/compaction (write-optimized;
+      fast path only). Over a changelog path (``replay_from_parquet``) a
+      window is planned from cached footer stats and runs as plain Ray
+      tasks over the row groups that can hold it, with no Ray Data job; a
+      Dataset given to ``replay_window`` is mapped with ``map_batches``.
+      The ``long_horizon`` workload and the ``bench.py`` headline measure
+      it.
 
     Every phase that changes table state (snapshot, incremental chunk,
     stream window, compaction, schema-only watermark) goes through
-    ``_commit``: one window id, one staging job, one manifest commit.
+    ``_commit``: one window id, one staging step, one manifest commit.
+    Compaction stages with one plain task per partition.
     """
 
     out_dir: str
@@ -707,21 +727,34 @@ class CdcEngine:
         snapshot_completed: bool = True,
         resume_position: dict | None = None,
     ) -> WindowManifest | None:
-        """Apply one closed LSN window (fromLsn, toLsn]. Skipped wholesale if
-        the committed watermark already covers it (resume semantics). The
-        changelog dataset should already be filtered to the window at the
-        read (predicate pushdown); a defensive in-pipeline fence filter is
-        applied too."""
-        wm = committed_watermark(self.out_dir)
-        if wm is not None and to_lsn <= wm:
-            return None  # already applied — resume skip
-        self._check_partitioning()
-        inclusive_low = not snapshot_completed  # un-incremented first window
+        """Apply one closed LSN window (fromLsn, toLsn] of a changelog
+        Dataset. Skipped wholesale if the committed watermark already covers
+        it (resume semantics). The changelog dataset should already be
+        filtered to the window at the read (predicate pushdown); a defensive
+        in-pipeline fence filter is applied too."""
+        # un-incremented first window: its lower bound is inclusive
+        prep = self._window_prep(from_lsn, to_lsn, not snapshot_completed)
+        if self.exchange == "write":
+            def stage(delta_dir: str) -> list[dict]:
+                writer = fragment_writer(delta_dir, key_columns=self.key_columns)
+                return changelog.map_batches(
+                    lambda batch: writer(prep(batch)),
+                    batch_format="pyarrow", batch_size=self.batch_size,
+                ).take_all()
+        else:
+            stage = self._staged(changelog, prep, validate_pairs=self.validate_pairs)
+        return self._window(stage, from_lsn, to_lsn,
+                            snapshot_completed=snapshot_completed,
+                            resume_position=resume_position)
+
+    def _window_prep(self, from_lsn: Lsn, to_lsn: Lsn, inclusive_low: bool):
+        """The stream window's batch prep: fence to the window, drop NULL
+        LSNs, tag partitions and, on the shuffle fast path, partial-collapse
+        (bounds shuffle volume by touched keys; strict pair validation needs
+        every image in its partition task, and the write exchange's
+        ``fragment_writer`` collapses on its own)."""
         tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
         keys = self.key_columns
-        # partial collapse bounds shuffle volume by touched keys; strict pair
-        # validation needs every image in its partition task, and the write
-        # exchange's fragment_writer collapses on its own
         collapse = self.exchange == "shuffle" and not self.validate_pairs
 
         def prep(batch: pa.Table) -> pa.Table:
@@ -733,15 +766,18 @@ class CdcEngine:
                                      key_columns=keys)
             return batch
 
-        if self.exchange == "write":
-            def stage(delta_dir: str) -> list[dict]:
-                writer = fragment_writer(delta_dir, key_columns=keys)
-                return changelog.map_batches(
-                    lambda batch: writer(prep(batch)),
-                    batch_format="pyarrow", batch_size=self.batch_size,
-                ).take_all()
-        else:
-            stage = self._staged(changelog, prep, validate_pairs=self.validate_pairs)
+        return prep
+
+    def _window(self, stage, from_lsn: Lsn, to_lsn: Lsn, *,
+                snapshot_completed: bool, resume_position: dict | None
+                ) -> WindowManifest | None:
+        """One stream window whatever stages it: skip it if the watermark
+        covers it, check the partitioning, commit what ``stage`` writes,
+        then auto-compact."""
+        wm = committed_watermark(self.out_dir)
+        if wm is not None and to_lsn <= wm:
+            return None  # already applied — resume skip
+        self._check_partitioning()
         m = self._commit(
             "stream", stage, from_lsn=from_lsn, to_lsn=to_lsn,
             snapshot_completed=snapshot_completed,
@@ -769,18 +805,25 @@ class CdcEngine:
         on_missing: str = "raise",  # "raise" | "skip"
         signal_lake=None,  # zero-arg callable -> lake Dataset; enables signals
     ) -> list[WindowManifest]:
-        """Windowed replay of a changelog parquet with LSN predicate PUSHDOWN:
-        each window reads only the row groups whose commit-LSN stats intersect
-        it (prune at the read — a real log is roughly LSN-ordered, so row
-        groups have tight LSN ranges). Assumes single-segment LSNs
-        (commit_lsn_hi constant per file) for the pushdown expression; the
-        in-pipeline fence filter remains authoritative.
+        """Windowed replay of a changelog parquet file or directory with LSN
+        pruning: each window reads only the row groups whose commit-LSN stats
+        intersect it (a real log is roughly LSN-ordered, so row groups have
+        tight LSN ranges). The stats come from each file's footer, read once
+        per file version (``_row_groups``); the in-pipeline fence filter
+        remains authoritative.
 
-        The read is bounded to ~num_partitions blocks: Ray's sort-based
-        shuffle schedules O(blocks^2) map/merge work, so letting the read
-        default to hundreds of small blocks makes the per-window shuffle
-        ANTI-scale with cluster size (measured 26s -> 3.6s per 2.2M-event
-        window at 32 cpus by bounding blocks)."""
+        Write exchange: no Ray Data job. The surviving row groups are packed
+        into units of about ``batch_size`` rows inside the window, estimated
+        from the stats (``_window_units``), and each unit is one plain Ray
+        task that reads, preps and writes its fragment (``_stage_task``).
+
+        Shuffle exchange only: a ``read_parquet`` with the window filter
+        pushed down, bounded to ~num_partitions blocks: Ray's sort-based shuffle
+        schedules O(blocks^2) map/merge work, so letting the read default to
+        hundreds of small blocks makes the per-window shuffle ANTI-scale
+        with cluster size (measured 26s -> 3.6s per 2.2M-event window at 32
+        cpus by bounding blocks). Its filter assumes single-segment LSNs
+        (commit_lsn_hi constant per file)."""
         import logging
 
         import pyarrow.dataset as pads
@@ -797,7 +840,6 @@ class CdcEngine:
                 return []
             raise FileNotFoundError(changelog_path)
 
-        nb = max(16, min(128, self.num_partitions))
         out = []
         first = True
         for lo, hi in plan_windows(from_lsn.increment(), to_lsn, n_windows):
@@ -809,36 +851,72 @@ class CdcEngine:
             # un-incremented watermark event itself (reference
             # shouldIncreaseFromLsn semantics), so its pushdown lower bound
             # must be inclusive or the fence-LSN event is pruned at the read
-            # before replay_window's inclusive_low branch ever sees it.
+            # before the window's inclusive_low branch ever sees it.
             incl = first and not snapshot_completed
-            if lo.hi == hi.hi:
-                lo_expr = (
-                    pads.field("commit_lsn_lo") >= lo.lo
-                    if incl
-                    else pads.field("commit_lsn_lo") > lo.lo
-                )
-                flt = lo_expr & (pads.field("commit_lsn_lo") <= hi.lo)
-            else:
-                flt = None
+            first = False
             wm = committed_watermark(self.out_dir)
             if wm is not None and hi <= wm:
-                first = False
                 continue  # already applied — skip BEFORE paying the
-                # driver-side offset-stats read (replay_window re-checks)
-            ds = ray.data.read_parquet(
-                changelog_path, filter=flt, override_num_blocks=nb
-            )
-            m = self.replay_window(
-                ds, lo, hi,
-                snapshot_completed=snapshot_completed if first else True,
-                resume_position=_window_resume_position(
-                    changelog_path, lo, hi, incl
-                ),
-            )
-            first = False
+                # driver-side offset-stats read (_window re-checks)
+            stats = _row_groups(changelog_path)
+            resume = _window_resume_position(stats, lo, hi, incl)
+            if self.exchange == "write":
+                groups = [(f, i, _in_window_rows(s, lo, hi)) for f, i, s in stats
+                          if _may_hold(s, lo, hi, incl)]
+                m = self._window(
+                    self._task_stage(
+                        _window_units(groups, self.batch_size),
+                        self._window_prep(lo, hi, incl),
+                    ),
+                    lo, hi, snapshot_completed=not incl, resume_position=resume,
+                )
+            else:
+                if lo.hi == hi.hi:
+                    lo_expr = (
+                        pads.field("commit_lsn_lo") >= lo.lo
+                        if incl
+                        else pads.field("commit_lsn_lo") > lo.lo
+                    )
+                    flt = lo_expr & (pads.field("commit_lsn_lo") <= hi.lo)
+                else:
+                    flt = None
+                ds = ray.data.read_parquet(
+                    changelog_path, filter=flt,
+                    override_num_blocks=max(16, min(128, self.num_partitions)),
+                )
+                m = self.replay_window(ds, lo, hi, snapshot_completed=not incl,
+                                       resume_position=resume)
             if m is not None:
                 out.append(m)
         return out
+
+    def _task_stage(self, units: list, prep):
+        """Stage fn of a write-exchange window over a changelog path: one
+        plain task per unit ``(file, [row group ids])`` preps its row groups
+        one at a time and runs ``fragment_writer`` each time ``batch_size``
+        prepped rows are held (and once on the rest), so a task holds at
+        most one row group beyond a batch."""
+        batch_size = self.batch_size
+
+        def stage(delta_dir: str) -> list[dict]:
+            writer = fragment_writer(delta_dir, key_columns=self.key_columns)
+
+            def write_unit(unit) -> pa.Table:
+                path, row_groups = unit
+                out, held = [], []
+                with pq.ParquetFile(path) as f:
+                    for g in row_groups:
+                        held.append(prep(f.read_row_group(g)))
+                        if sum(t.num_rows for t in held) >= batch_size:
+                            out.append(writer(pa.concat_tables(held)))
+                            held = []
+                if held:
+                    out.append(writer(pa.concat_tables(held)))
+                return pa.concat_tables(out)
+
+            return _run_stage_tasks(write_unit, units)
+
+        return stage
 
     # ---- reads ------------------------------------------------------------
 
@@ -916,38 +994,32 @@ class CdcEngine:
         (num_partitions, salt), so it doubles as the repartitioning barrier:
         to change partitioning (e.g. after metrics.suggest_salt), construct
         the engine with the new settings and run compact() before replaying
-        further windows."""
-        by_part = partition_files(self.out_dir)
-        items = [{"partition": k, "files": v} for k, v in sorted(by_part.items())]
+        further windows.
+
+        One plain Ray task per partition (``_stage_task``) folds that
+        partition and writes its base fragment."""
+        units = sorted(partition_files(self.out_dir).items())
         tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
         keys = self.key_columns
         fill = self._default_fill()
 
         def stage(delta_dir: str) -> list[dict]:
-            def compact_partition(batch: pa.Table) -> pa.Table:
-                out = []
-                writer = fragment_writer(delta_dir, key_columns=keys)
-                for row in batch.to_pylist():
-                    t = read_partition_table(
-                        row["files"], row["partition"], default_fill=fill
-                    )
-                    if t is None:
-                        continue
-                    collapsed = final_state(lww_collapse(
-                        t.drop_columns([PART_COL]), validate_pairs=False,
-                        key_columns=keys,
-                    ), keep_meta=True)
-                    if collapsed.num_rows:
-                        out.append(writer(tagger(collapsed)))
-                if not out:
-                    return _MANIFEST_ROW_SCHEMA.empty_table()
-                return pa.concat_tables(out)
+            writer = fragment_writer(delta_dir, key_columns=keys)
 
-            return (
-                ray.data.from_items(items)
-                .map_batches(compact_partition, batch_format="pyarrow", batch_size=1)
-                .take_all()
-            )
+            def compact_partition(unit) -> pa.Table:
+                partition, files = unit
+                t = read_partition_table(files, partition, default_fill=fill)
+                if t is None:
+                    return _MANIFEST_ROW_SCHEMA.empty_table()
+                collapsed = final_state(lww_collapse(
+                    t.drop_columns([PART_COL]), validate_pairs=False,
+                    key_columns=keys,
+                ), keep_meta=True)
+                if not collapsed.num_rows:
+                    return _MANIFEST_ROW_SCHEMA.empty_table()
+                return writer(tagger(collapsed))
+
+            return _run_stage_tasks(compact_partition, units)
 
         m = self._commit(
             "compaction", stage, to_lsn=committed_watermark(self.out_dir)
@@ -991,7 +1063,7 @@ class CdcEngine:
         schema_event: tuple[str, Lsn] | None = None,
     ) -> WindowManifest:
         """Every state change: take the next window id, run ``stage(delta_dir)``
-        (the Ray job that stages this window's files under
+        (the Ray job or tasks that stage this window's files under
         ``delta/w=NNNNNN`` and returns their manifest rows; None stages
         nothing), then commit the manifest — its rename is the one commit
         point. ``schema_event`` = (CREATE|ALTER, lsn) records the payload
@@ -1135,38 +1207,133 @@ def apply_dataset(
                     schemas=None if target is None else [target, target])
 
 
+# ---- the plain staging tasks and the footer cache -------------------------
+
+
+@ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])
+def _stage_task(kernel, unit) -> list[dict]:
+    """One staging task of a write-exchange window or of compaction:
+    ``kernel(unit)`` writes files and returns their manifest rows. Retried
+    like Ray Data's map tasks (unbounded, system errors included); files a
+    failed attempt left behind are named by no manifest, so stay invisible."""
+    return kernel(unit).to_pylist()
+
+
+def _run_stage_tasks(kernel, units: list) -> list[dict]:
+    """Run ``kernel`` over ``units`` as plain Ray tasks (the kernel is put
+    in the object store once) and gather their manifest rows."""
+    if not units:
+        return []
+    ref = ray.put(kernel)
+    return [row for rows in ray.get([_stage_task.remote(ref, u) for u in units])
+            for row in rows]
+
+
+def _changelog_files(path: str) -> list[str]:
+    """A changelog path's parquet files: the file itself, or a directory's
+    files, sorted, skipping names that start with ``.`` or ``_`` (the
+    pyarrow dataset discovery rule)."""
+    if not os.path.isdir(path):
+        return [path]
+    out = []
+    for d, dirs, names in os.walk(path):
+        dirs[:] = [x for x in dirs if not x.startswith((".", "_"))]
+        out += [os.path.join(d, f) for f in names if not f.startswith((".", "_"))]
+    return sorted(out)
+
+
+@functools.lru_cache(maxsize=1024)
+def _footer_stats(path: str, size: int, mtime_ns: int) -> tuple:
+    """Per row group of one file version: ``(rows, commit_lsn_hi min, max,
+    commit_lsn_lo min, max)``, a stat None where the writer recorded none.
+    Cached by (path, size, mtime_ns), so a rewritten file is read again."""
+    md = pq.read_metadata(path)
+    col = {md.schema.column(i).path: i for i in range(md.num_columns)}
+    out = []
+    for g in range(md.num_row_groups):
+        rg = md.row_group(g)
+        stats = []
+        for name in ("commit_lsn_hi", "commit_lsn_lo"):
+            s = rg.column(col[name]).statistics if name in col else None
+            stats += [s.min, s.max] if s is not None and s.has_min_max else [None, None]
+        out.append((rg.num_rows, *stats))
+    return tuple(out)
+
+
+def _row_groups(path: str) -> list[tuple[str, int, tuple]]:
+    """``(file, row group id, _footer_stats row)`` for every row group of a
+    changelog path; footers are read once per file version."""
+    out = []
+    for f in _changelog_files(path):
+        st = os.stat(f)
+        out += [(f, i, s) for i, s in
+                enumerate(_footer_stats(f, st.st_size, st.st_mtime_ns))]
+    return out
+
+
+def _may_hold(stats: tuple, lo: Lsn, hi: Lsn, inclusive_low: bool) -> bool:
+    """Whether a row group with these stats can hold a commit LSN in the
+    window (lo, hi] ([lo, hi] when ``inclusive_low``). Every row's LSN lies
+    between (hi min, lo min) and (hi max, lo max); missing stats prune
+    nothing."""
+    _, hmin, hmax, lmin, lmax = stats
+    if None in (hmin, hmax, lmin, lmax):
+        return True
+    top, low = (hmax, lmax), (lo.hi, lo.lo)
+    return (top >= low if inclusive_low else top > low) and (hmin, lmin) <= (hi.hi, hi.lo)
+
+
+def _in_window_rows(stats: tuple, lo: Lsn, hi: Lsn) -> float:
+    """Estimated rows of a row group inside the window (lo, hi], as if its
+    commit LSNs spread evenly over their stats range; all its rows when the
+    stats or the window span LSN segments."""
+    rows, hmin, hmax, lmin, lmax = stats
+    if None in stats or not hmin == hmax == lo.hi == hi.hi:
+        return rows
+    overlap = min(lmax, hi.lo) - max(lmin, lo.lo) + 1
+    return rows * max(0, overlap) / (lmax - lmin + 1)
+
+
+def _window_units(groups: list[tuple[str, int, float]],
+                  batch_size: int) -> list[tuple[str, list[int]]]:
+    """Cut a window's surviving row groups ``(file, id, rows in the
+    window)`` into task units ``(file, [ids])``: consecutive groups of one
+    file, packed up to ``batch_size`` rows in the window (a single larger
+    group is a unit of its own) — the bundling of filtered rows that Ray
+    Data's ``map_batches(batch_size=)`` did, so a small window is one task
+    and one fragment, and a window of N rows writes about N / batch_size
+    fragments however its log is ordered."""
+    units: list[tuple[str, list[int]]] = []
+    rows = 0
+    for f, i, r in groups:
+        if not units or units[-1][0] != f or rows + r > batch_size:
+            units.append((f, []))
+            rows = 0
+        units[-1][1].append(i)
+        rows += r
+    return units
+
+
 _LSN_COLS = ["commit_lsn_hi", "commit_lsn_lo", "intent_lsn_hi", "intent_lsn_lo"]
 
 
 def _window_resume_position(
-    changelog_path: str, lo: Lsn, hi: Lsn, inclusive_low: bool
+    row_groups: list, lo: Lsn, hi: Lsn, inclusive_low: bool
 ) -> dict | None:
     """The offset triplet of a window's LAST event ({commit_lsn, change_lsn,
     event_serial_no}, Db2OffsetContext.java:66-80), computed DRIVER-SIDE
-    from parquet row-group statistics: only the group(s) whose commit-LSN
-    stats can still contain the window's max commit are read, and only the
-    four LSN columns of those groups — for an LSN-clustered log that is one
-    row group per window, with no Ray job launch at all (the earlier
-    cluster-pass version added seconds of fixed overhead per window).
-    serial = the final commit's total row count (windows align to commit
-    boundaries). Single-segment LSNs assumed (like the read pushdown);
-    multi-segment windows return None."""
+    from a changelog's cached row-group statistics (``_row_groups``): only the
+    group(s) whose commit-LSN stats can still contain the window's max
+    commit are read, and only the four LSN columns of those groups — for an
+    LSN-clustered log that is one row group per window, with no Ray job
+    launch at all. serial = the final commit's total row count (windows
+    align to commit boundaries). Single-segment LSNs assumed; multi-segment
+    windows return None."""
     if lo.hi != hi.hi:
         return None
     hi_v = hi.lo
-
-    import pyarrow.dataset as pads
-
-    try:
-        dset = pads.dataset(changelog_path)
-        groups = []  # (known_max | None, path, rg_index, known_min | None)
-        for frag in dset.get_fragments():
-            for rg in frag.row_groups:
-                st = rg.statistics or {}
-                s = st.get("commit_lsn_lo") or {}
-                groups.append((s.get("max"), frag.path, rg.id, s.get("min")))
-    except Exception:
-        return None  # not introspectable (e.g. non-parquet source)
+    # (known_max | None, path, rg_index, known_min | None)
+    groups = [(s[4], f, i, s[3]) for f, i, s in row_groups]
     # visit groups in descending order of their max stat (unknown first —
     # they could contain anything)
     groups.sort(key=lambda g: (g[0] is not None, -(g[0] or 0)))

@@ -34,12 +34,19 @@ def scenario(tmp_path_factory):
     d = tmp_path_factory.mktemp("cdc_e2e")
     pq.write_table(sc.lake, str(d / "lake.parquet"))
     pq.write_table(sc.changelog, str(d / "changelog.parquet"))
+    pq.write_table(sc.changelog, str(d / "changelog_small_rg.parquet"),
+                   row_group_size=32)
     expected = oracle_apply(sc.lake, sc.ordered_changelog, sc.snapshot_lsn)
     return sc, str(d), expected
 
 
 def run_replay(ray, sc, data_dir, out_dir, num_partitions, n_windows, salt=1,
-               stop_after=None, validate_pairs=True, exchange="shuffle"):
+               stop_after=None, validate_pairs=True, exchange="shuffle",
+               entry="dataset", batch_size=400_000):
+    """Snapshot (unless committed) and replay the planned windows, each
+    through ``replay_window`` over a Dataset (``entry="dataset"``) or
+    ``replay_from_parquet`` over the small-row-group changelog file
+    (``entry="parquet"``)."""
     import ray.data as rd
 
     eng = CdcEngine(
@@ -48,19 +55,33 @@ def run_replay(ray, sc, data_dir, out_dir, num_partitions, n_windows, salt=1,
         salt=salt,
         validate_pairs=validate_pairs,
         exchange=exchange,
+        batch_size=batch_size,
     )
     if committed_watermark(out_dir) is None:
         eng.snapshot(rd.read_parquet(os.path.join(data_dir, "lake.parquet")), sc.snapshot_lsn)
     windows = plan_windows(sc.snapshot_lsn.increment(), sc.max_lsn, n_windows)
     done = 0
     for lo, hi in windows:
-        eng.replay_window(
-            rd.read_parquet(os.path.join(data_dir, "changelog.parquet")), lo, hi
-        )
+        if entry == "parquet":
+            eng.replay_from_parquet(
+                os.path.join(data_dir, "changelog_small_rg.parquet"), lo, hi, 1
+            )
+        else:
+            eng.replay_window(
+                rd.read_parquet(os.path.join(data_dir, "changelog.parquet")), lo, hi
+            )
         done += 1
         if stop_after is not None and done >= stop_after:
             return eng, False
     return eng, True
+
+
+#: ``replay_from_parquet`` runs each window as several tasks (several
+#: fragments per partition per window): 32-row row groups, 96-row units
+WRITE_ENTRIES = [
+    pytest.param({"entry": "dataset"}, id="replay_window"),
+    pytest.param({"entry": "parquet", "batch_size": 96}, id="replay_from_parquet"),
+]
 
 
 @pytest.mark.parametrize("num_partitions,n_windows", [(1, 1), (4, 3), (16, 5)])
@@ -98,19 +119,29 @@ def test_fast_path_combiner_same_result(ray_session, scenario, tmp_path):
     assert sorted_pdf(got).equals(sorted_pdf(expected))
 
 
-def test_write_exchange_same_result(ray_session, scenario, tmp_path):
+@pytest.mark.parametrize("how", WRITE_ENTRIES)
+def test_write_exchange_same_result(ray_session, scenario, tmp_path, how):
     """The shuffle-free write-exchange sink (partition-clustered fragments +
     merge-on-read) converges to the identical final state."""
     sc, data_dir, expected = scenario
     out = str(tmp_path / "writex")
     eng, _ = run_replay(
         ray_session, sc, data_dir, out, 8, 3,
-        validate_pairs=False, exchange="write",
+        validate_pairs=False, exchange="write", **how,
     )
     got = pa.Table.from_pandas(
         eng.state_dataset().to_pandas(), preserve_index=False
     ).select(expected.column_names)
     assert sorted_pdf(got).equals(sorted_pdf(expected))
+    if how["entry"] == "parquet":
+        # several tasks per window: a partition's lineage names several
+        # fragments of one window
+        stream = [m for m in load_manifests(out) if m.kind == "stream"]
+        assert len(stream) == 3
+        assert all(
+            max(len(p["files"]) for p in m.partitions.values()) > 1
+            for m in stream
+        )
     # compaction folds fragments into per-partition base files
     from debezium_connector_db2_ray.state.manifest import live_files
 
@@ -122,14 +153,16 @@ def test_write_exchange_same_result(ray_session, scenario, tmp_path):
     assert sorted_pdf(got2).equals(sorted_pdf(expected))
 
 
-def test_write_exchange_kill_resume(ray_session, scenario, tmp_path):
+@pytest.mark.parametrize("how", WRITE_ENTRIES)
+def test_write_exchange_kill_resume(ray_session, scenario, tmp_path, how):
     sc, data_dir, expected = scenario
     out = str(tmp_path / "writex_resume")
     run_replay(ray_session, sc, data_dir, out, 8, 4, stop_after=2,
-               validate_pairs=False, exchange="write")
+               validate_pairs=False, exchange="write", **how)
     eng2, finished = run_replay(ray_session, sc, data_dir, out, 8, 4,
-                                validate_pairs=False, exchange="write")
+                                validate_pairs=False, exchange="write", **how)
     assert finished
+    assert len([m for m in load_manifests(out) if m.kind == "stream"]) == 4
     got = pa.Table.from_pandas(
         eng2.state_dataset().to_pandas(), preserve_index=False
     ).select(expected.column_names)
