@@ -579,9 +579,9 @@ def run_connector_job() -> None:
     ``CdcConnector`` to per-table engines — the reference's single task
     emitting to per-table topics (multi-table ITs, Db2ConnectorIT.java
     operate on several captured tables at once). Measures the COORDINATOR
-    path the single-table headline can't: union window planning, the
-    per-window bounded materialize, and T routed applies + per-table
-    watermarks per window. Same cached input as the headline job; the lake
+    path the single-table headline can't: union window planning, one Ray
+    job per window that slices, routes and stages every table, and the
+    per-table commits and watermarks. Same cached input as the headline job; the lake
     and stream are split per-table by conv_id parity (stable per-key
     routing, so each key's whole history lands in one table)."""
     import pyarrow as pa
@@ -914,7 +914,7 @@ def scaling() -> None:
         }
     if os.environ.get("SCALE_CONNECTOR") == "1":
         # opt-in: the 2-table connector coordinator path (union window
-        # planning, bounded per-window materialize, routed per-table apply)
+        # planning, one routed Ray job per window, per-table commits)
         cres, cruns = measure({"BENCH_CONNECTOR_ONLY": "1"})
         cpairs = pairs_of(cres)
         report["connector"] = {

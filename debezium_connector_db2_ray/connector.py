@@ -11,9 +11,13 @@ Ray-Data-shaped equivalent: a ``CdcConnector`` owns one lake directory per
 captured table under a shared root, discovers the capture set from the
 stream's routing column (the S7 new-change-table detection), filters it
 through include/exclude + the system-table predicate, and replays a shared
-change stream by fanning each window out per table with a pushed-down
-routing filter. The signal/notification channels live at the ROOT so one
-operator surface controls every table, like the reference's single task.
+change stream with ONE Ray job per window for every table: each read block
+is sliced to the window and routed to its tables inside the job, every
+table's rows are staged under that table's own window id, and each table
+then commits its own manifest (so a kill between two tables' commits
+resumes the uncommitted ones only). The signal/notification channels live
+at the ROOT so one operator surface controls every table, like the
+reference's single task.
 """
 
 from __future__ import annotations
@@ -21,16 +25,24 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from debezium_connector_db2_ray.lsn import Lsn
-from debezium_connector_db2_ray.pipelines.replay import CdcEngine, plan_windows
+from debezium_connector_db2_ray.pipelines.replay import (
+    PART_COL,
+    CdcEngine,
+    fragment_writer,
+    plan_windows,
+    staged_writer,
+)
 from debezium_connector_db2_ray.stages.apply import (
     commit_range_filter,
     is_system_table,
     stop_lsn_fence,
 )
+from debezium_connector_db2_ray.state.manifest import WindowManifest
 
 
 @dataclass
@@ -182,12 +194,9 @@ class CdcConnector:
                *, lakes: dict | None = None,
                tables: list[str] | None = None):
         """Replay a SHARED change stream carrying ``routing_col``: windows
-        are planned once; each window's slice is materialized ONCE and every
-        captured table applies its routed view of it — the reference's
-        single task emitting to per-table topics. The materialize is the
-        deliberate bounded exception: it holds ONE window's events (the
-        streaming working set), so T tables cost one scan + T in-memory
-        filters instead of T full re-scans of the source.
+        are planned once, and each window is one Ray job over the stream for
+        every table it still has to reach (``_replay_window``) — the
+        reference's single task emitting to per-table topics.
 
         When ``lakes`` (table -> Dataset or zero-arg factory) is given, the
         root and per-table signal channels are drained BETWEEN windows —
@@ -213,31 +222,82 @@ class CdcConnector:
             if lakes is not None:
                 for t, ms in self.drain_signals(lakes, tables).items():
                     manifests.setdefault(t, []).extend(ms)
-            win = stream.map_batches(
-                _window_slice(lo, hi), batch_format="pyarrow"
-            ).materialize()
-            for table in tables:
-                routed = win.map_batches(
-                    _route(self.routing_col, table), batch_format="pyarrow"
-                )
-                stop = self.stop_lsns.get(table)
-                if stop is not None and not self.z_stop_lsn_ignore:
-                    routed = routed.map_batches(
-                        lambda b, stop=stop: stop_lsn_fence(b, stop),
-                        batch_format="pyarrow",
-                    )
-                proj = self._projector(table)
-                if proj is not None:
-                    # column.exclude.list applied to the STREAM too, so
-                    # every state generation shares the projected schema
-                    routed = routed.map_batches(proj, batch_format="pyarrow")
-                m = self.engine(table).replay_window(routed, lo, hi)
-                if m is not None:
-                    manifests[table].append(m)
+            for t, m in self._replay_window(stream, tables, lo, hi).items():
+                manifests[t].append(m)
         if lakes is not None:
             for t, ms in self.drain_signals(lakes, tables).items():
                 manifests.setdefault(t, []).extend(ms)
         return manifests
+
+    def _replay_window(self, stream, tables: list[str], lo: Lsn, hi: Lsn
+                       ) -> dict[str, WindowManifest]:
+        """Window (lo, hi] of the shared stream for every table in
+        ``tables`` whose watermark does not cover it yet, in ONE Ray job:
+        each pending table checks its partitioning and reserves its window
+        id, the job stages every table's rows under that table's
+        ``delta/w=NNNNNN``, and then each table commits its own rows (and
+        auto-compacts) through its engine's one commit path. A table that
+        is already past ``hi`` gets no rows and no manifest."""
+        engines = [e for e in map(self.engine, tables) if e._pending(hi)]
+        if not engines:
+            return {}
+        reserved = [e._reserve() for e in engines]
+        routed = self._routed(engines, lo, hi)
+        projs = [self._projector(e.table_name) for e in engines]
+        batch_size = engines[0].batch_size
+        if self.exchange == "write":
+            writers = [fragment_writer(d, key_columns=e.key_columns)
+                       for e, (_, d) in zip(engines, reserved)]
+
+            def write(batch: pa.Table) -> pa.Table:
+                return pa.concat_tables([
+                    w(_project(p, t))
+                    for w, p, t in zip(writers, projs, routed(batch))
+                ])
+
+            rows = _in_window(stream, lo, hi, write, batch_size).take_all()
+        else:
+            rows = CdcEngine._staged(
+                _in_window(stream, lo, hi,
+                           _group_prep(routed, self.num_partitions), batch_size),
+                _group_writer(
+                    [staged_writer(d, validate_pairs=self.validate_pairs,
+                                   key_columns=e.key_columns)
+                     for e, (_, d) in zip(engines, reserved)],
+                    projs, self.num_partitions,
+                ),
+            )
+        out = {}
+        for e, (wid, d) in zip(engines, reserved):
+            # a manifest row's file sits under its table's staging dir
+            mine = [r for r in rows if r["file"].startswith(d + os.sep)]
+            out[e.table_name] = e._window(None, lo, hi, staged=(wid, mine))
+        return out
+
+    def _routed(self, engines: list[CdcEngine], lo: Lsn, hi: Lsn):
+        """``batch -> [one prepped table per engine]`` over rows sliced to
+        the window: each engine's rows by ``routing_col`` (``_route``; rows
+        of no pending table drop), its table's stop-LSN fence unless
+        ``z_stop_lsn_ignore``, then its window prep: partition tag and, on
+        the shuffle fast path, partial collapse, so by (table, key). Every
+        table keeps the stream's columns, so all share one schema."""
+        routes = [_route(self.routing_col, e.table_name) for e in engines]
+        stops = [
+            None if self.z_stop_lsn_ignore else self.stop_lsns.get(e.table_name)
+            for e in engines
+        ]
+        preps = [e._window_prep(lo, hi, False) for e in engines]
+
+        def fn(batch: pa.Table) -> list[pa.Table]:
+            out = []
+            for route, stop, prep in zip(routes, stops, preps):
+                rows = route(batch)
+                if stop is not None:
+                    rows = stop_lsn_fence(rows, stop)
+                out.append(prep(rows))
+            return out
+
+        return fn
 
     def drain_signals(self, lakes: dict, tables=None) -> dict:
         """Drain the ROOT signal channel plus every captured table's channel.
@@ -328,6 +388,58 @@ class CdcConnector:
 def _route(col: str, table: str):
     def fn(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.equal(batch[col], table)).drop_columns([col])
+
+    return fn
+
+
+def _project(proj, table: pa.Table) -> pa.Table:
+    return table if proj is None else proj(table)
+
+
+def _in_window(stream, lo: Lsn, hi: Lsn, fn, batch_size: int):
+    """``fn`` mapped over the window's rows of ``stream``: each read block
+    is sliced to (lo, hi] on its own, then ``fn`` runs on batches of
+    ``batch_size`` sliced rows, so a shuffle sorts few blocks. Fused, the
+    two maps would bundle RAW read blocks up to ``batch_size`` rows into
+    one task; a ``ray_remote_args_fn`` (it adds no argument) keeps Ray
+    from fusing them."""
+    return stream.map_batches(
+        _window_slice(lo, hi), batch_format="pyarrow"
+    ).map_batches(
+        fn, batch_format="pyarrow", batch_size=batch_size,
+        ray_remote_args_fn=dict,
+    )
+
+
+def _group_prep(routed, num_partitions: int):
+    """Shuffle prep of the connector's window job: the routed tables
+    stacked, each row's ``PART_COL`` set to its group code
+    ``table_index * num_partitions + partition``."""
+
+    def fn(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables([
+            t.set_column(
+                t.schema.get_field_index(PART_COL), PART_COL,
+                pc.add(t[PART_COL], pa.scalar(i * num_partitions, pa.int32())),
+            )
+            for i, t in enumerate(routed(batch))
+        ])
+
+    return fn
+
+
+def _group_writer(writers: list, projs: list, num_partitions: int):
+    """map_groups fn of the connector's window job: decode the group code
+    to (table, partition), drop the table's excluded columns, and run its
+    ``staged_writer`` with ``PART_COL`` set back to the partition."""
+
+    def fn(group: pa.Table) -> pa.Table:
+        i, part = divmod(int(group[PART_COL][0].as_py()), num_partitions)
+        group = _project(projs[i], group)
+        return writers[i](group.set_column(
+            group.schema.get_field_index(PART_COL), PART_COL,
+            pa.array(np.full(group.num_rows, part, np.int32)),
+        ))
 
     return fn
 

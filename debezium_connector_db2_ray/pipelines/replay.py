@@ -449,7 +449,7 @@ class CdcEngine:
         tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
         m = self._commit(
             "snapshot_replace" if replace else "snapshot",
-            self._staged(
+            self._shuffle_stage(
                 lake, lambda batch: tagger(snapshot_as_events(batch, snapshot_lsn))
             ),
             to_lsn=snapshot_lsn,
@@ -567,7 +567,7 @@ class CdcEngine:
                 return t.filter(pa.array((pid >= lo_p) & (pid < hi_p)))
 
             m = self._commit(
-                kind, self._staged(lake, chunk_prep), to_lsn=snapshot_lsn,
+                kind, self._shuffle_stage(lake, chunk_prep), to_lsn=snapshot_lsn,
                 snapshot_completed=(c == n_chunks - 1),
             )
             self.notifications.emit(
@@ -742,7 +742,8 @@ class CdcEngine:
                     batch_format="pyarrow", batch_size=self.batch_size,
                 ).take_all()
         else:
-            stage = self._staged(changelog, prep, validate_pairs=self.validate_pairs)
+            stage = self._shuffle_stage(changelog, prep,
+                                        validate_pairs=self.validate_pairs)
         return self._window(stage, from_lsn, to_lsn,
                             snapshot_completed=snapshot_completed,
                             resume_position=resume_position)
@@ -768,18 +769,30 @@ class CdcEngine:
 
         return prep
 
-    def _window(self, stage, from_lsn: Lsn, to_lsn: Lsn, *,
-                snapshot_completed: bool, resume_position: dict | None
-                ) -> WindowManifest | None:
-        """One stream window whatever stages it: skip it if the watermark
-        covers it, check the partitioning, commit what ``stage`` writes,
-        then auto-compact."""
+    def _pending(self, to_lsn: Lsn) -> bool:
+        """Whether the stream window ending at ``to_lsn`` still has to run:
+        False when the committed watermark covers it (resume skip). A
+        pending window must match the committed partitioning."""
         wm = committed_watermark(self.out_dir)
         if wm is not None and to_lsn <= wm:
-            return None  # already applied — resume skip
+            return False
         self._check_partitioning()
+        return True
+
+    def _window(self, stage, from_lsn: Lsn, to_lsn: Lsn, *,
+                snapshot_completed: bool = True,
+                resume_position: dict | None = None,
+                staged: tuple[int, list[dict]] | None = None,
+                ) -> WindowManifest | None:
+        """One stream window whatever stages it: skip it unless
+        ``_pending``, commit what ``stage`` writes, then auto-compact.
+        ``staged`` (see ``_commit``) comes from a caller that ran
+        ``_pending`` itself and staged the rows: the connector's one job
+        for all its tables."""
+        if staged is None and not self._pending(to_lsn):
+            return None  # already applied — resume skip
         m = self._commit(
-            "stream", stage, from_lsn=from_lsn, to_lsn=to_lsn,
+            "stream", stage, staged=staged, from_lsn=from_lsn, to_lsn=to_lsn,
             snapshot_completed=snapshot_completed,
             resume_position=resume_position,
             # ALTER schema event when this window's payload schema differs
@@ -1032,30 +1045,42 @@ class CdcEngine:
 
     # ---- the one write-and-commit path ------------------------------------
 
-    def _staged(self, ds: "ray.data.Dataset", prep, *, validate_pairs: bool = False):
-        """Stage fn for the shuffle sink: ``prep`` each batch (it must add
-        ``PART_COL``), hash-shuffle on the partition and LWW-collapse + write
-        one file per partition (``staged_writer``)."""
+    def _shuffle_stage(self, ds: "ray.data.Dataset", prep, *,
+                       validate_pairs: bool = False):
+        """Stage fn of the engine's shuffle sinks: ``prep`` each batch of
+        ``batch_size`` rows (it must add ``PART_COL``), then ``_staged``
+        with ``staged_writer`` into the window's staging dir, which
+        LWW-collapses and writes one file per partition."""
 
         def stage(delta_dir: str) -> list[dict]:
-            return (
-                ds.map_batches(prep, batch_format="pyarrow", batch_size=self.batch_size)
-                .groupby(PART_COL)
-                .map_groups(
-                    staged_writer(delta_dir, validate_pairs=validate_pairs,
-                                  key_columns=self.key_columns),
-                    batch_format="pyarrow",
-                )
-                .take_all()
+            return self._staged(
+                ds.map_batches(prep, batch_format="pyarrow",
+                               batch_size=self.batch_size),
+                staged_writer(delta_dir, validate_pairs=validate_pairs,
+                              key_columns=self.key_columns),
             )
 
         return stage
+
+    @staticmethod
+    def _staged(tagged: "ray.data.Dataset", writer) -> list[dict]:
+        """The shuffle sink's one Ray job: hash-shuffle ``tagged`` rows on
+        ``PART_COL``, run the map_groups fn ``writer`` on each group (it
+        stages the group's file and returns its manifest row) and gather
+        the rows. The connector runs it once per window for all its tables,
+        with a group code in ``PART_COL`` that its writer routes."""
+        return (
+            tagged.groupby(PART_COL)
+            .map_groups(writer, batch_format="pyarrow")
+            .take_all()
+        )
 
     def _commit(
         self,
         kind: str,
         stage=None,
         *,
+        staged: tuple[int, list[dict]] | None = None,
         to_lsn: Lsn | None,
         from_lsn: Lsn | None = None,
         snapshot_completed: bool = True,
@@ -1069,9 +1094,15 @@ class CdcEngine:
         point. ``schema_event`` = (CREATE|ALTER, lsn) records the payload
         schema read from a staged file's footer BEFORE the commit (no Ray
         job; a failed history write raises and the window stays
-        uncommitted — re-running it re-records idempotently)."""
-        wid = next_window_id(self.out_dir)
-        rows = stage(os.path.join(self.out_dir, f"delta/w={wid:06d}")) if stage else []
+        uncommitted — re-running it re-records idempotently).
+
+        ``staged`` = (window id from ``_reserve``, manifest rows) replaces
+        ``stage`` with rows a caller already staged under that id."""
+        if staged is None:
+            wid, delta_dir = self._reserve()
+            rows = stage(delta_dir) if stage else []
+        else:
+            wid, rows = staged
         if schema_event is not None and rows:
             self._record_schema(*schema_event, pq.read_schema(rows[0]["file"]))
         m = WindowManifest(
@@ -1086,6 +1117,12 @@ class CdcEngine:
         )
         commit_manifest(self.out_dir, m)
         return m
+
+    def _reserve(self) -> tuple[int, str]:
+        """The next window id and its staging dir ``delta/w=NNNNNN``. Files
+        staged there stay invisible until ``_commit`` commits the id."""
+        wid = next_window_id(self.out_dir)
+        return wid, os.path.join(self.out_dir, f"delta/w={wid:06d}")
 
     @staticmethod
     def _lineage(rows: list[dict]) -> dict[str, dict]:

@@ -647,3 +647,171 @@ def test_connector_snapshot_select_override(ray_session, tmp_path):
     assert sorted_pdf(have).equals(sorted_pdf(expected))
     # the filter really bit: some high conv never snapshotted or streamed
     assert len(got) < sc.lake.num_rows + sc.changelog.num_rows
+
+
+def _shared_stream(d, scenarios: dict) -> str:
+    """Write one stream routing every ``name -> scenario`` changelog by
+    ``src_table``; the generated scenarios share (conv_id, turn_idx) keys."""
+    path = str(d / "stream.parquet")
+    pq.write_table(pa.concat_tables([
+        sc.changelog.append_column(
+            "src_table", pa.array([name] * sc.changelog.num_rows)
+        )
+        for name, sc in scenarios.items()
+    ]), path)
+    return path
+
+
+def _assert_state(conn, name, expected, cols=None):
+    cols = cols or expected.column_names
+    want = pa.Table.from_pandas(expected.to_pandas()[cols], preserve_index=False)
+    got = pa.Table.from_pandas(
+        conn.state(name).to_pandas(), preserve_index=False
+    ).select(cols)
+    assert sorted_pdf(got).equals(sorted_pdf(want)), name
+
+
+@pytest.mark.parametrize("exchange,validate_pairs", [
+    ("shuffle", True), ("shuffle", False), ("write", False),
+])
+def test_routed_apply_matches_per_table_oracle(ray_session, tmp_path,
+                                               exchange, validate_pairs):
+    """The one window job routes each table's rows to that table only, on
+    both exchanges and the shuffle fast path (whose partial collapse runs
+    by (table, key): the two tables share keys). TA drops an excluded
+    column and TB is fenced at its capture instance's stop LSN."""
+    import ray.data as rd
+
+    from debezium_connector_db2_ray.connector import CdcConnector
+    from debezium_connector_db2_ray.lsn import Lsn
+    from debezium_connector_db2_ray.stages.apply import stop_lsn_fence
+
+    sc_a = generate_scenario(n_convs=10, turns_per_conv=4, n_commits=120, seed=101)
+    sc_b = generate_scenario(n_convs=10, turns_per_conv=4, n_commits=120, seed=102)
+    d = tmp_path / "data"
+    d.mkdir()
+    stream = _shared_stream(d, {"TA": sc_a, "TB": sc_b})
+    snap = sc_a.snapshot_lsn
+    hi = Lsn(0, max(sc_a.max_lsn.to_int(), sc_b.max_lsn.to_int()))
+    stop = Lsn(0, (snap.to_int() + sc_b.max_lsn.to_int()) // 2)
+    conn = CdcConnector(
+        root_dir=str(tmp_path / "lh"), num_partitions=4, exchange=exchange,
+        validate_pairs=validate_pairs, column_exclude={"TA": ("tool",)},
+        stop_lsns={"TB": stop},
+    )
+    conn.snapshot_all(
+        {"TA": rd.from_arrow(sc_a.lake), "TB": rd.from_arrow(sc_b.lake)}, snap
+    )
+    conn.replay(rd.read_parquet(stream), snap, hi, 3)
+    exp_a = oracle_apply(sc_a.lake, sc_a.ordered_changelog, snap)
+    _assert_state(conn, "TA", exp_a,
+                  [c for c in exp_a.column_names if c != "tool"])
+    assert "tool" not in conn.state("TA").to_pandas().columns
+    _assert_state(conn, "TB", oracle_apply(
+        sc_b.lake, stop_lsn_fence(sc_b.ordered_changelog, stop), snap))
+
+
+_KILL_BETWEEN_TABLE_COMMITS = """
+import os, signal, sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=80 * 1024 * 1024)
+import ray.data as rd
+from debezium_connector_db2_ray.connector import CdcConnector
+from debezium_connector_db2_ray.lsn import Lsn
+from debezium_connector_db2_ray.pipelines import replay
+
+root, stream, snap, top, kill_at = sys.argv[1:6]
+real = replay.commit_manifest
+
+def commit_or_die(out_dir, m):
+    if (os.path.basename(out_dir) == "t1" and m.kind == "stream"
+            and m.to_lsn == kill_at):
+        os.kill(os.getpid(), signal.SIGKILL)  # t0 has committed this window
+    return real(out_dir, m)
+
+replay.commit_manifest = commit_or_die
+CdcConnector(root_dir=root, num_partitions=4).replay(
+    rd.read_parquet(stream), Lsn.from_int(int(snap)), Lsn.from_int(int(top)), 3)
+"""
+
+
+def test_kill_between_table_commits_resumes(ray_session, tmp_path,
+                                            run_until_killed):
+    """A process killed between two tables' commits of one window: on
+    resume only the uncommitted table gets that window, so each table holds
+    exactly one manifest for it, both reach the max LSN and both states
+    equal their oracles."""
+    import ray.data as rd
+
+    from debezium_connector_db2_ray.connector import CdcConnector
+    from debezium_connector_db2_ray.lsn import Lsn
+    from debezium_connector_db2_ray.state.manifest import (
+        committed_watermark,
+        load_manifests,
+    )
+
+    sc = {"t0": generate_scenario(n_convs=8, turns_per_conv=3, n_commits=90, seed=111),
+          "t1": generate_scenario(n_convs=8, turns_per_conv=3, n_commits=90, seed=112)}
+    d = tmp_path / "data"
+    d.mkdir()
+    stream = _shared_stream(d, sc)
+    root = str(tmp_path / "lh")
+    snap = sc["t0"].snapshot_lsn
+    hi = Lsn(0, max(s.max_lsn.to_int() for s in sc.values()))
+    CdcConnector(root_dir=root, num_partitions=4).snapshot_all(
+        {t: rd.from_arrow(s.lake) for t, s in sc.items()}, snap
+    )
+    kill_at = plan_windows(snap.increment(), hi, 3)[1][1]
+    run_until_killed(_KILL_BETWEEN_TABLE_COMMITS, root, stream,
+                     str(snap.to_int()), str(hi.to_int()), kill_at.hex())
+    assert committed_watermark(os.path.join(root, "t0")) == kill_at
+    assert committed_watermark(os.path.join(root, "t1")) < kill_at
+
+    conn = CdcConnector(root_dir=root, num_partitions=4)
+    conn.replay(rd.read_parquet(stream), snap, hi, 3)
+    for t, s in sc.items():
+        out = os.path.join(root, t)
+        assert [m.to_lsn for m in load_manifests(out)
+                if m.kind == "stream"].count(kill_at.hex()) == 1, t
+        assert committed_watermark(out) == hi
+        _assert_state(conn, t, oracle_apply(s.lake, s.ordered_changelog, snap))
+
+
+def test_connector_window_is_one_job(ray_session, tmp_path, monkeypatch):
+    """A 2-table connector replay of N windows on the shuffle exchange runs
+    N Ray Data jobs (one ``take_all`` each) and materializes nothing."""
+    import ray.data as rd
+
+    from debezium_connector_db2_ray.connector import CdcConnector
+    from debezium_connector_db2_ray.lsn import Lsn
+
+    sc = {"TA": generate_scenario(n_convs=8, turns_per_conv=3, n_commits=80, seed=121),
+          "TB": generate_scenario(n_convs=8, turns_per_conv=3, n_commits=80, seed=122)}
+    d = tmp_path / "data"
+    d.mkdir()
+    stream = rd.read_parquet(_shared_stream(d, sc))
+    snap = sc["TA"].snapshot_lsn
+    hi = Lsn(0, max(s.max_lsn.to_int() for s in sc.values()))
+    conn = CdcConnector(root_dir=str(tmp_path / "lh"), num_partitions=4)
+    conn.snapshot_all({t: rd.from_arrow(s.lake) for t, s in sc.items()}, snap)
+
+    calls = []
+    take_all = rd.Dataset.take_all
+
+    def counted(self, *a, **kw):
+        calls.append(1)
+        return take_all(self, *a, **kw)
+
+    def refuse(self, *a, **kw):
+        raise AssertionError("a connector window materialized a Dataset")
+
+    monkeypatch.setattr(rd.Dataset, "take_all", counted)
+    monkeypatch.setattr(rd.Dataset, "materialize", refuse)
+    n = 3
+    ms = conn.replay(stream, snap, hi, n, tables=sorted(sc))
+    assert len(calls) == n
+    assert {t: len(m) for t, m in ms.items()} == {"TA": n, "TB": n}
+    monkeypatch.undo()
+    for t, s in sc.items():
+        _assert_state(conn, t, oracle_apply(s.lake, s.ordered_changelog, snap))

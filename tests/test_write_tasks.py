@@ -4,9 +4,6 @@ compaction: task retries, no Ray Data job, the footer cache, and a kill
 inside compaction."""
 
 import os
-import signal
-import subprocess
-import sys
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -23,8 +20,6 @@ from debezium_connector_db2_ray.state.manifest import (
     live_files,
     load_manifests,
 )
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -206,28 +201,18 @@ eng.compact()
 """
 
 
-def test_kill_inside_compaction_resumes(ray_session, scenario, tmp_path):
+def test_kill_inside_compaction_resumes(ray_session, scenario, tmp_path,
+                                        run_until_killed):
     """A process killed between compaction's staging and its manifest
     commit: the staged base files stay invisible, the watermark and the
     state are the last committed window's, and a fresh engine compacts."""
     sc, data_dir, expected = scenario
     out = str(tmp_path / "lake")
-    child = subprocess.Popen(
-        [sys.executable, "-c", _KILL_IN_COMPACTION,
-         os.path.join(data_dir, "lake.parquet"),
-         os.path.join(data_dir, "log.parquet"), out,
-         str(sc.snapshot_lsn.to_int()), str(sc.max_lsn.to_int())],
-        cwd=REPO, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-        start_new_session=True,
+    run_until_killed(
+        _KILL_IN_COMPACTION, os.path.join(data_dir, "lake.parquet"),
+        os.path.join(data_dir, "log.parquet"), out,
+        str(sc.snapshot_lsn.to_int()), str(sc.max_lsn.to_int()),
     )
-    try:
-        _, err = child.communicate(timeout=300)
-    finally:
-        try:  # the Ray processes the killed child left behind
-            os.killpg(child.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-    assert child.returncode == -signal.SIGKILL, err[-2000:]
     assert [m.kind for m in load_manifests(out)] == ["snapshot"] + ["stream"] * 3
     staged = _files_on_disk(out) - _named_files(out)
     assert staged  # compaction's base files reached the disk ...
