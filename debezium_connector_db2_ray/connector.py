@@ -12,12 +12,15 @@ captured table under a shared root, discovers the capture set from the
 stream's routing column (the S7 new-change-table detection), filters it
 through include/exclude + the system-table predicate, and replays a shared
 change stream with ONE Ray job per window for every table: each read block
-is sliced to the window and routed to its tables inside the job, every
-table's rows are staged under that table's own window id, and each table
-then commits its own manifest (so a kill between two tables' commits
-resumes the uncommitted ones only). The signal/notification channels live
-at the ROOT so one operator surface controls every table, like the
-reference's single task.
+is sliced to the window, and the engine's staging job
+(``CdcEngine._staged``, with one target per table) routes the sliced rows
+to their tables and stages every table's rows under that table's own
+window id; each table then commits its own manifest (so a kill between two
+tables' commits resumes the uncommitted ones only). The connector supplies
+only the routing, the stop-LSN fences and the column projections; the
+exchange, the writers and the group code live in the engine. The
+signal/notification channels live at the ROOT so one operator surface
+controls every table, like the reference's single task.
 """
 
 from __future__ import annotations
@@ -25,18 +28,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from debezium_connector_db2_ray.lsn import Lsn
-from debezium_connector_db2_ray.pipelines.replay import (
-    PART_COL,
-    CdcEngine,
-    fragment_writer,
-    plan_windows,
-    staged_writer,
-)
+from debezium_connector_db2_ray.pipelines.replay import CdcEngine, plan_windows
 from debezium_connector_db2_ray.stages.apply import (
     commit_range_filter,
     is_system_table,
@@ -242,31 +238,18 @@ class CdcConnector:
         if not engines:
             return {}
         reserved = [e._reserve() for e in engines]
-        routed = self._routed(engines, lo, hi)
-        projs = [self._projector(e.table_name) for e in engines]
-        batch_size = engines[0].batch_size
-        if self.exchange == "write":
-            writers = [fragment_writer(d, key_columns=e.key_columns)
-                       for e, (_, d) in zip(engines, reserved)]
-
-            def write(batch: pa.Table) -> pa.Table:
-                return pa.concat_tables([
-                    w(_project(p, t))
-                    for w, p, t in zip(writers, projs, routed(batch))
-                ])
-
-            rows = _in_window(stream, lo, hi, write, batch_size).take_all()
-        else:
-            rows = CdcEngine._staged(
-                _in_window(stream, lo, hi,
-                           _group_prep(routed, self.num_partitions), batch_size),
-                _group_writer(
-                    [staged_writer(d, validate_pairs=self.validate_pairs,
-                                   key_columns=e.key_columns)
-                     for e, (_, d) in zip(engines, reserved)],
-                    projs, self.num_partitions,
-                ),
-            )
+        rows = CdcEngine._staged(
+            stream.map_batches(_window_slice(lo, hi), batch_format="pyarrow"),
+            [(e, d) for e, (_, d) in zip(engines, reserved)],
+            self._routed(engines, lo, hi),
+            write=self.exchange == "write",
+            validate_pairs=self.validate_pairs,
+            projs=[self._projector(e.table_name) for e in engines],
+            # a ray_remote_args_fn (it adds no argument) keeps the routed
+            # prep apart from the slice: fused, Ray would bundle RAW read
+            # blocks up to batch_size rows into one task
+            ray_remote_args_fn=dict,
+        )
         out = {}
         for e, (wid, d) in zip(engines, reserved):
             # a manifest row's file sits under its table's staging dir
@@ -388,58 +371,6 @@ class CdcConnector:
 def _route(col: str, table: str):
     def fn(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.equal(batch[col], table)).drop_columns([col])
-
-    return fn
-
-
-def _project(proj, table: pa.Table) -> pa.Table:
-    return table if proj is None else proj(table)
-
-
-def _in_window(stream, lo: Lsn, hi: Lsn, fn, batch_size: int):
-    """``fn`` mapped over the window's rows of ``stream``: each read block
-    is sliced to (lo, hi] on its own, then ``fn`` runs on batches of
-    ``batch_size`` sliced rows, so a shuffle sorts few blocks. Fused, the
-    two maps would bundle RAW read blocks up to ``batch_size`` rows into
-    one task; a ``ray_remote_args_fn`` (it adds no argument) keeps Ray
-    from fusing them."""
-    return stream.map_batches(
-        _window_slice(lo, hi), batch_format="pyarrow"
-    ).map_batches(
-        fn, batch_format="pyarrow", batch_size=batch_size,
-        ray_remote_args_fn=dict,
-    )
-
-
-def _group_prep(routed, num_partitions: int):
-    """Shuffle prep of the connector's window job: the routed tables
-    stacked, each row's ``PART_COL`` set to its group code
-    ``table_index * num_partitions + partition``."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return pa.concat_tables([
-            t.set_column(
-                t.schema.get_field_index(PART_COL), PART_COL,
-                pc.add(t[PART_COL], pa.scalar(i * num_partitions, pa.int32())),
-            )
-            for i, t in enumerate(routed(batch))
-        ])
-
-    return fn
-
-
-def _group_writer(writers: list, projs: list, num_partitions: int):
-    """map_groups fn of the connector's window job: decode the group code
-    to (table, partition), drop the table's excluded columns, and run its
-    ``staged_writer`` with ``PART_COL`` set back to the partition."""
-
-    def fn(group: pa.Table) -> pa.Table:
-        i, part = divmod(int(group[PART_COL][0].as_py()), num_partitions)
-        group = _project(projs[i], group)
-        return writers[i](group.set_column(
-            group.schema.get_field_index(PART_COL), PART_COL,
-            pa.array(np.full(group.num_rows, part, np.int32)),
-        ))
 
     return fn
 

@@ -4,24 +4,36 @@ Lifecycle mirrors the reference coordinator (snapshot phase then streaming
 loop over bounded LSN windows — Db2ConnectorTask.java:163-176,
 Db2StreamingChangeEventSource.java:132-302) reshaped for Ray Data:
 
-  snapshot:  read_parquet(lake) --map_batches(partition tag)-->
+  snapshot (and each incremental-snapshot chunk):
+             read(lake) --map_batches(snapshot events, partition tag)-->
              groupby(part) --map_groups(collapse + staged write)--> manifest
-  window w, shuffle exchange:
+  window w of a Dataset, shuffle exchange:
              read_parquet(changelog, filter lsn in (from, to]) -->
              map_batches(null-LSN drop, partition tag [, partial LWW]) -->
              groupby(part) shuffle -->
              map_groups(sort, pair-validate, LWW apply, staged write) -->
              commit manifest (watermark = to_lsn)
+  window w of a Dataset, write exchange:
+             map_batches(prep as above, then fragment write) --> manifest
+  connector window w (``CdcConnector``, T tables, one job):
+             read(stream) --map_batches(slice each block to (from, to])-->
+             map_batches(route to each table, stop fence, prep as above;
+             part = table index * num_partitions + partition) -->
+             groupby(part) --map_groups(decode, staged write into that
+             table's dir)--> one manifest per table
+             (write exchange: one fragment write per table per batch)
   window w, write exchange over a changelog path:
              row groups pruned to (from, to] by cached footer stats -->
              one plain Ray task per unit of row groups (read, null-LSN
              drop, partition tag, partial LWW, fragment write) -->
              commit manifest (watermark = to_lsn)
 
-Each window is one bounded unit of work (the reference's poll iteration,
-which drains a closed interval [fromLsn, currentMaxLsn] completely): a Ray
-Data job on the shuffle exchange, a handful of tasks planned from parquet
-footers on the write exchange (no job launch per small window). State
+Every Ray Data shape above is one job built by ``CdcEngine._staged``; the
+plain tasks (and compaction's) are ``_run_stage_tasks``. Each window is one
+bounded unit of work (the reference's poll iteration, which drains a closed
+interval [fromLsn, currentMaxLsn] completely): a Ray Data job on the
+shuffle exchange, a handful of tasks planned from parquet footers on the
+write exchange over a changelog path (no job launch per small window). State
 between windows lives ONLY in committed manifests + their parquet files —
 merge-on-read deltas with periodic compaction — so a kill at any point resumes
 cleanly: committed windows are skipped by watermark, the interrupted window
@@ -55,7 +67,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from debezium_connector_db2_ray.functions.exchange import exchange
+from debezium_connector_db2_ray.functions.exchange import exchange, side_schema
 from debezium_connector_db2_ray.lsn import Lsn, lsn_hex, lsn_range_mask
 from debezium_connector_db2_ray.schema import (
     CHANGELOG_META_COLUMNS,
@@ -83,15 +95,6 @@ from debezium_connector_db2_ray.state.manifest import (
 
 META_SET = set(CHANGELOG_META_COLUMNS)
 PART_COL = "__part"
-
-
-def _arrow_schema(ds: "ray.data.Dataset") -> pa.Schema:
-    """Arrow schema of a Dataset (executes at most a tiny sample)."""
-    s = ds.schema()
-    base = getattr(s, "base_schema", None)
-    if isinstance(base, pa.Schema):
-        return base
-    return pa.schema(list(zip(s.names, s.types)))
 
 
 _MANIFEST_ROW_SCHEMA = pa.schema(
@@ -211,8 +214,9 @@ def fragment_writer(delta_dir: str, *,
     It runs in the plain stage tasks (``_stage_task``) of a
     ``replay_from_parquet`` window, one call per ~``batch_size`` prepped
     rows of a unit of row groups, and of ``compact()``, one call per
-    partition; ``replay_window`` over a Dataset maps it with
-    ``map_batches``."""
+    partition; in the Ray Data staging job (``CdcEngine._staged``) of a
+    ``replay_window`` over a Dataset or a connector window, one call per
+    table on each batch."""
 
     def fn(batch: pa.Table) -> pa.Table:
         batch = lww_collapse(batch, validate_pairs=False, partial=True,
@@ -308,7 +312,10 @@ class CdcEngine:
     Every phase that changes table state (snapshot, incremental chunk,
     stream window, compaction, schema-only watermark) goes through
     ``_commit``: one window id, one staging step, one manifest commit.
-    Compaction stages with one plain task per partition.
+    A staging step that runs on Ray Data (snapshot, incremental chunk,
+    ``replay_window`` over a Dataset, and the connector's window for all
+    its tables) is one job built by ``_staged``; a write-exchange window
+    over a changelog path and compaction stage with plain tasks.
     """
 
     out_dir: str
@@ -449,8 +456,10 @@ class CdcEngine:
         tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
         m = self._commit(
             "snapshot_replace" if replace else "snapshot",
-            self._shuffle_stage(
-                lake, lambda batch: tagger(snapshot_as_events(batch, snapshot_lsn))
+            lambda d: self._staged(
+                lake, [(self, d)],
+                lambda batch: [tagger(snapshot_as_events(batch, snapshot_lsn))],
+                write=False, validate_pairs=False,
             ),
             to_lsn=snapshot_lsn,
             # CREATE schema event at snapshot, as the reference emits one DDL
@@ -498,7 +507,7 @@ class CdcEngine:
         offset_exists = committed_watermark(self.out_dir) is not None
         in_progress = self.snapshot_in_progress()
         try:
-            lake_schema = _arrow_schema(lake)
+            lake_schema = side_schema(lake)
         except Exception:
             lake_schema = None  # a schemaless (empty) lake: no CREATE lineage
         names = list(lake_schema.names) if lake_schema is not None else []
@@ -561,13 +570,18 @@ class CdcEngine:
             lo_p = c * self.num_partitions // n_chunks
             hi_p = (c + 1) * self.num_partitions // n_chunks
 
-            def chunk_prep(batch: pa.Table, lo_p=lo_p, hi_p=hi_p) -> pa.Table:
+            def chunk_prep(batch: pa.Table, lo_p=lo_p, hi_p=hi_p) -> list:
                 t = tagger(snapshot_as_events(batch, snapshot_lsn))
                 pid = t[PART_COL].to_numpy(zero_copy_only=False)
-                return t.filter(pa.array((pid >= lo_p) & (pid < hi_p)))
+                return [t.filter(pa.array((pid >= lo_p) & (pid < hi_p)))]
 
             m = self._commit(
-                kind, self._shuffle_stage(lake, chunk_prep), to_lsn=snapshot_lsn,
+                kind,
+                lambda d: self._staged(
+                    lake, [(self, d)], chunk_prep, write=False,
+                    validate_pairs=False,
+                ),
+                to_lsn=snapshot_lsn,
                 snapshot_completed=(c == n_chunks - 1),
             )
             self.notifications.emit(
@@ -734,16 +748,14 @@ class CdcEngine:
         in-pipeline fence filter is applied too."""
         # un-incremented first window: its lower bound is inclusive
         prep = self._window_prep(from_lsn, to_lsn, not snapshot_completed)
-        if self.exchange == "write":
-            def stage(delta_dir: str) -> list[dict]:
-                writer = fragment_writer(delta_dir, key_columns=self.key_columns)
-                return changelog.map_batches(
-                    lambda batch: writer(prep(batch)),
-                    batch_format="pyarrow", batch_size=self.batch_size,
-                ).take_all()
-        else:
-            stage = self._shuffle_stage(changelog, prep,
-                                        validate_pairs=self.validate_pairs)
+
+        def stage(delta_dir: str) -> list[dict]:
+            return self._staged(
+                changelog, [(self, delta_dir)], lambda batch: [prep(batch)],
+                write=self.exchange == "write",
+                validate_pairs=self.validate_pairs,
+            )
+
         return self._window(stage, from_lsn, to_lsn,
                             snapshot_completed=snapshot_completed,
                             resume_position=resume_position)
@@ -1045,33 +1057,70 @@ class CdcEngine:
 
     # ---- the one write-and-commit path ------------------------------------
 
-    def _shuffle_stage(self, ds: "ray.data.Dataset", prep, *,
-                       validate_pairs: bool = False):
-        """Stage fn of the engine's shuffle sinks: ``prep`` each batch of
-        ``batch_size`` rows (it must add ``PART_COL``), then ``_staged``
-        with ``staged_writer`` into the window's staging dir, which
-        LWW-collapses and writes one file per partition."""
+    @staticmethod
+    def _staged(ds: "ray.data.Dataset", targets: list, prep, *, write: bool,
+                validate_pairs: bool, projs: list | None = None,
+                **map_args) -> list[dict]:
+        """The engine's one Ray Data staging job, for one or many
+        ``targets`` = [(engine, staging dir)]: ``prep`` maps each batch of
+        ``batch_size`` rows to one ``PART_COL``-tagged table per target,
+        ``projs`` (per target, None or ``table -> table``) drop the
+        target's excluded columns just before its writer, and the job
+        returns every target's manifest rows. ``map_args`` go to the prep
+        ``map_batches`` (the connector keeps it unfused from its per-block
+        slice).
 
-        def stage(delta_dir: str) -> list[dict]:
-            return self._staged(
-                ds.map_batches(prep, batch_format="pyarrow",
-                               batch_size=self.batch_size),
-                staged_writer(delta_dir, validate_pairs=validate_pairs,
-                              key_columns=self.key_columns),
+        - write: one ``fragment_writer`` call per target on each batch.
+        - shuffle: ``PART_COL`` becomes the group code
+          ``target index * num_partitions + partition`` (the partition for
+          one target), a groupby on it gathers each (target, partition),
+          and the target's ``staged_writer`` stages it with the partition
+          restored."""
+        n = targets[0][0].num_partitions
+        projs = projs or [None] * len(targets)
+
+        def project(i: int, table: pa.Table) -> pa.Table:
+            return table if projs[i] is None else projs[i](table)
+
+        def recode(table: pa.Table, delta: int) -> pa.Table:
+            if not delta:
+                return table
+            return table.set_column(
+                table.schema.get_field_index(PART_COL), PART_COL,
+                pc.add(table[PART_COL], pa.scalar(delta, pa.int32())),
             )
 
-        return stage
+        batch_size = targets[0][0].batch_size
+        if write:
+            writers = [fragment_writer(d, key_columns=e.key_columns)
+                       for e, d in targets]
 
-    @staticmethod
-    def _staged(tagged: "ray.data.Dataset", writer) -> list[dict]:
-        """The shuffle sink's one Ray job: hash-shuffle ``tagged`` rows on
-        ``PART_COL``, run the map_groups fn ``writer`` on each group (it
-        stages the group's file and returns its manifest row) and gather
-        the rows. The connector runs it once per window for all its tables,
-        with a group code in ``PART_COL`` that its writer routes."""
+            def write_batch(batch: pa.Table) -> pa.Table:
+                return pa.concat_tables([
+                    w(project(i, t))
+                    for i, (w, t) in enumerate(zip(writers, prep(batch)))
+                ])
+
+            return ds.map_batches(write_batch, batch_format="pyarrow",
+                                  batch_size=batch_size, **map_args).take_all()
+        writers = [staged_writer(d, validate_pairs=validate_pairs,
+                                 key_columns=e.key_columns)
+                   for e, d in targets]
+
+        def tag(batch: pa.Table) -> pa.Table:
+            return pa.concat_tables([
+                recode(t, i * n) for i, t in enumerate(prep(batch))
+            ])
+
+        def write_group(group: pa.Table) -> pa.Table:
+            i = int(group[PART_COL][0].as_py()) // n
+            return writers[i](project(i, recode(group, -i * n)))
+
         return (
-            tagged.groupby(PART_COL)
-            .map_groups(writer, batch_format="pyarrow")
+            ds.map_batches(tag, batch_format="pyarrow", batch_size=batch_size,
+                           **map_args)
+            .groupby(PART_COL)
+            .map_groups(write_group, batch_format="pyarrow")
             .take_all()
         )
 
@@ -1192,9 +1241,9 @@ def apply_dataset(
         )
 
         cl_schema = pa.schema(
-            [f for f in _arrow_schema(changelog) if f.name not in META_SET]
+            [f for f in side_schema(changelog) if f.name not in META_SET]
         )
-        payload = unify_payload_schemas(_arrow_schema(snapshot), cl_schema)
+        payload = unify_payload_schemas(side_schema(snapshot), cl_schema)
         target = pa.schema(list(CHANGELOG_META_FIELDS) + list(payload))
 
     if combiner and validate_pairs:
