@@ -11,12 +11,13 @@ Ray-Data-shaped equivalent: a ``CdcConnector`` owns one lake directory per
 captured table under a shared root, discovers the capture set from the
 stream's routing column (the S7 new-change-table detection), filters it
 through include/exclude + the system-table predicate, and replays a shared
-change stream with ONE Ray job per window for every table: each read block
-is sliced to the window, and the engine's staging job
-(``CdcEngine._staged``, with one target per table) routes the sliced rows
-to their tables and stages every table's rows under that table's own
-window id; each table then commits its own manifest (so a kill between two
-tables' commits resumes the uncommitted ones only). The connector supplies
+change stream with ONE Ray job per window for every table: the engine's
+staging job (``CdcEngine._staged``, with one target per table) runs one
+map that slices each batch to the window and routes, fences and tags its
+rows for their tables, then stages every table's rows under that table's
+own window id (on the shuffle exchange in plain reduce tasks); each table
+then commits its own manifest (so a kill between two tables' commits
+resumes the uncommitted ones only). The connector supplies
 only the routing, the stop-LSN fences and the column projections; the
 exchange, the writers and the group code live in the engine. The
 signal/notification channels live at the ROOT so one operator surface
@@ -230,7 +231,8 @@ class CdcConnector:
         """Window (lo, hi] of the shared stream for every table in
         ``tables`` whose watermark does not cover it yet, in ONE Ray job:
         each pending table checks its partitioning and reserves its window
-        id, the job stages every table's rows under that table's
+        id, the job's one prep map (``_routed``) slices, routes and tags
+        the stream, it stages every table's rows under that table's
         ``delta/w=NNNNNN``, and then each table commits its own rows (and
         auto-compacts) through its engine's one commit path. A table that
         is already past ``hi`` gets no rows and no manifest."""
@@ -239,16 +241,11 @@ class CdcConnector:
             return {}
         reserved = [e._reserve() for e in engines]
         rows = CdcEngine._staged(
-            stream.map_batches(_window_slice(lo, hi), batch_format="pyarrow"),
-            [(e, d) for e, (_, d) in zip(engines, reserved)],
+            stream, [(e, d) for e, (_, d) in zip(engines, reserved)],
             self._routed(engines, lo, hi),
             write=self.exchange == "write",
             validate_pairs=self.validate_pairs,
             projs=[self._projector(e.table_name) for e in engines],
-            # a ray_remote_args_fn (it adds no argument) keeps the routed
-            # prep apart from the slice: fused, Ray would bundle RAW read
-            # blocks up to batch_size rows into one task
-            ray_remote_args_fn=dict,
         )
         out = {}
         for e, (wid, d) in zip(engines, reserved):
@@ -258,12 +255,14 @@ class CdcConnector:
         return out
 
     def _routed(self, engines: list[CdcEngine], lo: Lsn, hi: Lsn):
-        """``batch -> [one prepped table per engine]`` over rows sliced to
-        the window: each engine's rows by ``routing_col`` (``_route``; rows
-        of no pending table drop), its table's stop-LSN fence unless
-        ``z_stop_lsn_ignore``, then its window prep: partition tag and, on
-        the shuffle fast path, partial collapse, so by (table, key). Every
-        table keeps the stream's columns, so all share one schema."""
+        """``batch -> [one prepped table per engine]``, the one map of the
+        window job: the batch is sliced to the window (``_window_slice``),
+        then each engine's rows are routed by ``routing_col`` (``_route``;
+        rows of no pending table drop), its table's stop-LSN fence applies
+        unless ``z_stop_lsn_ignore``, then its window prep: partition tag
+        and, on the shuffle fast path, partial collapse, so by (table, key).
+        Every table keeps the stream's columns, so all share one schema."""
+        window = _window_slice(lo, hi)
         routes = [_route(self.routing_col, e.table_name) for e in engines]
         stops = [
             None if self.z_stop_lsn_ignore else self.stop_lsns.get(e.table_name)
@@ -272,6 +271,7 @@ class CdcConnector:
         preps = [e._window_prep(lo, hi, False) for e in engines]
 
         def fn(batch: pa.Table) -> list[pa.Table]:
+            batch = window(batch)
             out = []
             for route, stop, prep in zip(routes, stops, preps):
                 rows = route(batch)
@@ -377,7 +377,8 @@ def _route(col: str, table: str):
 
 def _window_slice(lo: Lsn, hi: Lsn):
     """Filter a batch to commit LSNs in (lo, hi] — the window's bounded
-    working set (the per-engine window prep re-checks, harmlessly)."""
+    working set, cut before routing (the per-engine window prep re-checks,
+    harmlessly)."""
 
     def fn(batch: pa.Table) -> pa.Table:
         return commit_range_filter(batch, lo, hi)

@@ -11,9 +11,11 @@ never see padding. The shuffle itself is Ray Data's sort-based
 partition code, and co-located equal keys are the only guarantee a kernel
 relies on.
 
-The durable replay sink (``pipelines.replay.CdcEngine._staged``) is not an
-exchange in this sense: its ``__part`` column is persisted and pruned on,
-so it keeps its own salted ``tag_partitions`` layout.
+The durable replay sink (``pipelines.replay.CdcEngine._staged``) shuffles
+with ``task_exchange`` instead: its ``__part`` is a group code the caller
+tags (the persisted, salted ``tag_partitions`` layout, offset per target),
+and it is bounded to one window, so its reduce runs as plain Ray tasks
+after the Ray Data job that preps the rows — no sort shuffle.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 PART = "__part"
 SIDE = "__side"
@@ -202,3 +205,57 @@ def exchange(sides, part: Callable[[pa.Table], np.ndarray], kernel,
     if out_schema is None or layout is not None:
         return out
     return out.union(rd.from_arrow(empty))
+
+
+_RETRY = dict(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])
+
+
+@ray.remote(**_RETRY)
+def _split(block: pa.Table, bounds: list[int]) -> tuple:
+    """One tagged block cut into one table per reduce task's code range."""
+    codes = block[PART].to_numpy(zero_copy_only=False)
+    order = np.argsort(codes, kind="stable")
+    cuts = np.searchsorted(codes[order], bounds)
+    return tuple(block.take(order[a:b]) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+@ray.remote(**_RETRY)
+def _reduce(kernel, *parts: pa.Table) -> list[pa.Table]:
+    """``kernel`` once per group code present in ``parts``."""
+    t = pa.concat_tables(parts, promote_options="default")
+    codes = t[PART].to_numpy(zero_copy_only=False)
+    order = np.argsort(codes, kind="stable")
+    t = t.take(order)
+    _, starts, counts = np.unique(codes[order], return_index=True,
+                                  return_counts=True)
+    return [kernel(t.slice(s, c)) for s, c in zip(starts, counts)]
+
+
+def task_exchange(ds, num_codes: int, kernel) -> list[pa.Table]:
+    """Shuffle a ``PART``-tagged Dataset (codes in ``[0, num_codes)``) with
+    plain Ray tasks and return ``kernel(group)`` for every code present;
+    each group keeps its ``PART`` column. For bounded inputs (a window, a
+    snapshot) whose per-code work is small next to a sort shuffle's
+    scheduling.
+
+    The Dataset runs once (``iter_internal_ref_bundles``) and its 0-row
+    blocks are dropped by their metadata. R = min(blocks, num_codes) reduce
+    tasks each own a contiguous code range, so one holds about a block:
+    with R == 1 it takes the blocks as they are, otherwise one split task
+    per block cuts it into R ranges (``num_returns``; a lost split output is
+    rebuilt from lineage). Tasks retry like Ray Data's, system errors
+    included, and the kernel is put in the object store once."""
+    blocks = [ref for bundle in ds.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows != 0]
+    r = min(len(blocks), num_codes)
+    if not r:
+        return []
+    if r == 1:
+        parts = [blocks]
+    else:
+        bounds = [i * num_codes // r for i in range(r + 1)]
+        cut = [_split.options(num_returns=r).remote(b, bounds) for b in blocks]
+        parts = [[c[i] for c in cut] for i in range(r)]
+    ref = ray.put(kernel)
+    return [t for ts in ray.get([_reduce.remote(ref, *p) for p in parts])
+            for t in ts]

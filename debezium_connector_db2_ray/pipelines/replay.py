@@ -6,21 +6,20 @@ Db2StreamingChangeEventSource.java:132-302) reshaped for Ray Data:
 
   snapshot (and each incremental-snapshot chunk):
              read(lake) --map_batches(snapshot events, partition tag)-->
-             groupby(part) --map_groups(collapse + staged write)--> manifest
+             plain-task exchange on part (collapse, staged write) --> manifest
   window w of a Dataset, shuffle exchange:
              read_parquet(changelog, filter lsn in (from, to]) -->
              map_batches(null-LSN drop, partition tag [, partial LWW]) -->
-             groupby(part) shuffle -->
-             map_groups(sort, pair-validate, LWW apply, staged write) -->
-             commit manifest (watermark = to_lsn)
+             plain-task exchange on part: split tasks (when several
+             reduce tasks) --> reduce tasks (per part: sort, pair-validate,
+             LWW apply, staged write) --> commit manifest (watermark = to_lsn)
   window w of a Dataset, write exchange:
              map_batches(prep as above, then fragment write) --> manifest
   connector window w (``CdcConnector``, T tables, one job):
-             read(stream) --map_batches(slice each block to (from, to])-->
-             map_batches(route to each table, stop fence, prep as above;
-             part = table index * num_partitions + partition) -->
-             groupby(part) --map_groups(decode, staged write into that
-             table's dir)--> one manifest per table
+             read(stream) --map_batches(slice to (from, to], route to each
+             table, stop fence, prep as above; part = table index *
+             num_partitions + partition)--> plain-task exchange on part
+             (staged write into that table's dir) --> one manifest per table
              (write exchange: one fragment write per table per batch)
   window w, write exchange over a changelog path:
              row groups pruned to (from, to] by cached footer stats -->
@@ -28,12 +27,15 @@ Db2StreamingChangeEventSource.java:132-302) reshaped for Ray Data:
              drop, partition tag, partial LWW, fragment write) -->
              commit manifest (watermark = to_lsn)
 
-Every Ray Data shape above is one job built by ``CdcEngine._staged``; the
-plain tasks (and compaction's) are ``_run_stage_tasks``. Each window is one
-bounded unit of work (the reference's poll iteration, which drains a closed
-interval [fromLsn, currentMaxLsn] completely): a Ray Data job on the
-shuffle exchange, a handful of tasks planned from parquet footers on the
-write exchange over a changelog path (no job launch per small window). State
+Every Ray Data shape above is one job built by ``CdcEngine._staged``; on
+the shuffle exchange the job ends at the prep map and its reduce runs as
+plain tasks (``functions.exchange.task_exchange``). The write-exchange
+tasks over a changelog path (and compaction's) are ``_run_stage_tasks``.
+Each window is one bounded unit of work (the reference's poll iteration,
+which drains a closed interval [fromLsn, currentMaxLsn] completely): a Ray
+Data job and its reduce tasks on the shuffle exchange, a handful of tasks
+planned from parquet footers on the write exchange over a changelog path
+(no job launch per small window). State
 between windows lives ONLY in committed manifests + their parquet files —
 merge-on-read deltas with periodic compaction — so a kill at any point resumes
 cleanly: committed windows are skipped by watermark, the interrupted window
@@ -42,7 +44,7 @@ re-runs idempotently (LWW) and its orphaned staged files stay invisible.
 Scale notes (100 TB design):
 - a changelog path is read only in the row groups whose commit-LSN stats
   intersect the window;
-- the only all-to-all exchange per window is the groupby on the int32 ``part``
+- the only all-to-all exchange per window is the one on the int32 ``part``
   column; with the per-batch partial collapse (fast path, no strict pair
   validation), shuffle volume is bounded by (#distinct keys touched) not
   (#events);
@@ -67,7 +69,8 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from debezium_connector_db2_ray.functions.exchange import exchange, side_schema
+from debezium_connector_db2_ray.functions.exchange import (
+    exchange, side_schema, task_exchange)
 from debezium_connector_db2_ray.lsn import Lsn, lsn_hex, lsn_range_mask
 from debezium_connector_db2_ray.schema import (
     CHANGELOG_META_COLUMNS,
@@ -147,11 +150,10 @@ def tag_partitions(num_partitions: int, salt: int = 1,
     return fn
 
 
-def _op_counts(table: pa.Table) -> dict[str, int]:
-    if table.num_rows == 0:
-        return {}
-    vc = table["op"].to_pandas().value_counts()
-    return {str(int(k)): int(v) for k, v in vc.items()}
+def _op_counts(op: np.ndarray) -> str:
+    """A manifest row's ``op_counts``: json of {op code: rows}."""
+    ops, counts = np.unique(op, return_counts=True)
+    return json.dumps({str(int(k)): int(v) for k, v in zip(ops, counts)})
 
 
 def _lsn_range(table: pa.Table) -> tuple[str | None, str | None]:
@@ -166,9 +168,10 @@ def _lsn_range(table: pa.Table) -> tuple[str | None, str | None]:
 
 def staged_writer(delta_dir: str, *, validate_pairs: bool,
                   key_columns: tuple[str, ...] = KEY_COLUMNS):
-    """map_groups fn over one hash partition: LWW-collapse the partition and
-    stage its parquet file; emit one manifest row. The file only becomes
-    visible when the driver commits the window manifest (two-phase sink)."""
+    """Reduce kernel of the shuffle sink over one hash partition:
+    LWW-collapse the partition and stage its parquet file; emit one manifest
+    row. The file only becomes visible when the driver commits the window
+    manifest (two-phase sink)."""
 
     def fn(group: pa.Table) -> pa.Table:
         part = int(group[PART_COL][0].as_py())
@@ -190,7 +193,8 @@ def staged_writer(delta_dir: str, *, validate_pairs: bool,
                     "partition": part,
                     "rows": collapsed.num_rows,
                     "file": path,
-                    "op_counts": json.dumps(_op_counts(collapsed)),
+                    "op_counts": _op_counts(
+                        collapsed["op"].to_numpy(zero_copy_only=False)),
                     "min_lsn": mn,
                     "max_lsn": mx,
                 }
@@ -236,7 +240,6 @@ def fragment_writer(delta_dir: str, *,
         op = batch["op"].to_numpy(zero_copy_only=False)
         rows = []
         for p, s, c in zip(uniq, starts, counts):
-            ops, opc = np.unique(op[s : s + c], return_counts=True)
             sl = batch.slice(s, c)
             mn, mx = _lsn_range(sl)
             rows.append(
@@ -244,9 +247,7 @@ def fragment_writer(delta_dir: str, *,
                     "partition": int(p),
                     "rows": int(c),
                     "file": path,
-                    "op_counts": json.dumps(
-                        {str(int(k)): int(v) for k, v in zip(ops, opc)}
-                    ),
+                    "op_counts": _op_counts(op[s : s + c]),
                     "min_lsn": mn,
                     "max_lsn": mx,
                 }
@@ -294,7 +295,7 @@ class CdcEngine:
     """A CDC target lake: output directory + partitioning/exchange policy.
 
     ``exchange`` — which one serves which need:
-    - "shuffle" (default): groupby hash shuffle + per-partition LWW collapse
+    - "shuffle" (default): hash shuffle + per-partition LWW collapse
       before the staged write (read-optimized deltas). Required for strict
       ``validate_pairs``, which must see every image of a key in one task;
       with ``validate_pairs=False`` each batch is partially collapsed before
@@ -314,8 +315,10 @@ class CdcEngine:
     ``_commit``: one window id, one staging step, one manifest commit.
     A staging step that runs on Ray Data (snapshot, incremental chunk,
     ``replay_window`` over a Dataset, and the connector's window for all
-    its tables) is one job built by ``_staged``; a write-exchange window
-    over a changelog path and compaction stage with plain tasks.
+    its tables) is one job built by ``_staged``, which on the shuffle
+    exchange is one prep map followed by plain reduce tasks; a
+    write-exchange window over a changelog path and compaction stage with
+    plain tasks only.
     """
 
     out_dir: str
@@ -843,12 +846,13 @@ class CdcEngine:
         task that reads, preps and writes its fragment (``_stage_task``).
 
         Shuffle exchange only: a ``read_parquet`` with the window filter
-        pushed down, bounded to ~num_partitions blocks: Ray's sort-based shuffle
-        schedules O(blocks^2) map/merge work, so letting the read default to
-        hundreds of small blocks makes the per-window shuffle ANTI-scale
-        with cluster size (measured 26s -> 3.6s per 2.2M-event window at 32
-        cpus by bounding blocks). Its filter assumes single-segment LSNs
-        (commit_lsn_hi constant per file)."""
+        pushed down, bounded to ~num_partitions blocks: the exchange cuts
+        every block into one slice per reduce task, so letting the read
+        default to hundreds of small blocks makes the per-window shuffle
+        ANTI-scale with cluster size (under the former sort shuffle,
+        bounding blocks took a 2.2M-event window from 26 s to 3.6 s at 32
+        cpus). Its filter assumes single-segment LSNs (commit_lsn_hi
+        constant per file)."""
         import logging
 
         import pyarrow.dataset as pads
@@ -1059,22 +1063,20 @@ class CdcEngine:
 
     @staticmethod
     def _staged(ds: "ray.data.Dataset", targets: list, prep, *, write: bool,
-                validate_pairs: bool, projs: list | None = None,
-                **map_args) -> list[dict]:
+                validate_pairs: bool, projs: list | None = None) -> list[dict]:
         """The engine's one Ray Data staging job, for one or many
         ``targets`` = [(engine, staging dir)]: ``prep`` maps each batch of
         ``batch_size`` rows to one ``PART_COL``-tagged table per target,
         ``projs`` (per target, None or ``table -> table``) drop the
         target's excluded columns just before its writer, and the job
-        returns every target's manifest rows. ``map_args`` go to the prep
-        ``map_batches`` (the connector keeps it unfused from its per-block
-        slice).
+        returns every target's manifest rows.
 
         - write: one ``fragment_writer`` call per target on each batch.
         - shuffle: ``PART_COL`` becomes the group code
           ``target index * num_partitions + partition`` (the partition for
-          one target), a groupby on it gathers each (target, partition),
-          and the target's ``staged_writer`` stages it with the partition
+          one target); the job ends at the prep map, and ``task_exchange``
+          gathers each (target, partition) in plain reduce tasks, where the
+          target's ``staged_writer`` stages it with the partition
           restored."""
         n = targets[0][0].num_partitions
         projs = projs or [None] * len(targets)
@@ -1102,7 +1104,7 @@ class CdcEngine:
                 ])
 
             return ds.map_batches(write_batch, batch_format="pyarrow",
-                                  batch_size=batch_size, **map_args).take_all()
+                                  batch_size=batch_size).take_all()
         writers = [staged_writer(d, validate_pairs=validate_pairs,
                                  key_columns=e.key_columns)
                    for e, d in targets]
@@ -1116,13 +1118,10 @@ class CdcEngine:
             i = int(group[PART_COL][0].as_py()) // n
             return writers[i](project(i, recode(group, -i * n)))
 
-        return (
-            ds.map_batches(tag, batch_format="pyarrow", batch_size=batch_size,
-                           **map_args)
-            .groupby(PART_COL)
-            .map_groups(write_group, batch_format="pyarrow")
-            .take_all()
-        )
+        tagged = ds.map_batches(tag, batch_format="pyarrow",
+                                batch_size=batch_size)
+        return [row for t in task_exchange(tagged, n * len(targets), write_group)
+                for row in t.to_pylist()]
 
     def _commit(
         self,

@@ -2,7 +2,6 @@
 every grouped, joined and windowed operator runs on — plus a source scan
 that keeps it the only one."""
 
-import ast
 import logging
 import pathlib
 import re
@@ -227,29 +226,19 @@ def test_similarity_partials_return_typed_empties():
     assert knn.column_names == ["query_id", "vec_id", "label", "sim"]
 
 
-def _enclosing_functions(source: str, lineno: int) -> set[str]:
-    return {
-        n.name for n in ast.walk(ast.parse(source))
-        if isinstance(n, ast.FunctionDef)
-        and n.lineno <= lineno <= n.end_lineno
-    }
-
-
 def test_exchange_is_the_only_part_shuffle():
-    """``groupby`` on the partition column may appear only in the exchange
-    module and in the durable sink ``CdcEngine._staged`` (whose ``__part``
-    is a persisted file column); the side tag only in the exchange
-    module. A hand-rolled copy fails here."""
-    shuffle = re.compile(r"groupby\(\s*(\"__part\"|'__part'|PART_COL|PART)\s*\)")
+    """``groupby`` on the partition column, the side tag and a
+    ``num_returns=`` split may appear only in the exchange module (the
+    durable sink ``CdcEngine._staged`` shuffles through its
+    ``task_exchange``). A hand-rolled copy fails here."""
+    shuffle = re.compile(
+        r"groupby\(\s*(\"__part\"|'__part'|PART_COL|PART)\s*\)"
+        r"|__side|num_returns\s*="
+    )
     offenders = []
     for path in sorted(PKG.rglob("*.py")):
         rel = path.relative_to(PKG).as_posix()
-        source = path.read_text()
-        for i, line in enumerate(source.splitlines()):
+        for i, line in enumerate(path.read_text().splitlines()):
             if shuffle.search(line) and rel != "functions/exchange.py":
-                if not (rel == "pipelines/replay.py"
-                        and "_staged" in _enclosing_functions(source, i + 1)):
-                    offenders.append(f"{rel}:{i + 1}: {line.strip()}")
-            if "__side" in line and rel != "functions/exchange.py":
                 offenders.append(f"{rel}:{i + 1}: {line.strip()}")
     assert not offenders, "\n".join(offenders)

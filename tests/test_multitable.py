@@ -780,8 +780,9 @@ def test_kill_between_table_commits_resumes(ray_session, tmp_path,
 
 def test_connector_window_is_one_job(ray_session, tmp_path, monkeypatch):
     """A 2-table connector replay of N windows on the shuffle exchange runs
-    N Ray Data jobs (one ``take_all`` each) and materializes nothing."""
+    N Ray Data jobs (one execution each) and materializes nothing."""
     import ray.data as rd
+    from ray.data._internal.plan import ExecutionPlan
 
     from debezium_connector_db2_ray.connector import CdcConnector
     from debezium_connector_db2_ray.lsn import Lsn
@@ -797,16 +798,16 @@ def test_connector_window_is_one_job(ray_session, tmp_path, monkeypatch):
     conn.snapshot_all({t: rd.from_arrow(s.lake) for t, s in sc.items()}, snap)
 
     calls = []
-    take_all = rd.Dataset.take_all
+    execute = ExecutionPlan.execute_to_iterator
 
     def counted(self, *a, **kw):
         calls.append(1)
-        return take_all(self, *a, **kw)
+        return execute(self, *a, **kw)
 
     def refuse(self, *a, **kw):
         raise AssertionError("a connector window materialized a Dataset")
 
-    monkeypatch.setattr(rd.Dataset, "take_all", counted)
+    monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", counted)
     monkeypatch.setattr(rd.Dataset, "materialize", refuse)
     n = 3
     ms = conn.replay(stream, snap, hi, n, tables=sorted(sc))

@@ -1,6 +1,8 @@
 """The engine's one Ray Data staging job (``CdcEngine._staged``): every
-single-table sink is one job per commit, and a worker that dies after
-staging is retried while its file stays invisible."""
+single-table sink is one job per commit, a worker that dies after staging
+is retried while its file stays invisible, and the shuffle sink's
+plain-task exchange (``task_exchange``) gives the same lake with one or
+several reduce tasks."""
 
 import os
 
@@ -8,6 +10,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from debezium_connector_db2_ray.functions import exchange as xmod
 from debezium_connector_db2_ray.lsn import Lsn
 from debezium_connector_db2_ray.pipelines import replay
 from debezium_connector_db2_ray.pipelines.oracle import oracle_apply
@@ -27,8 +30,9 @@ def test_single_table_sink_is_one_job(ray_session, tmp_path, monkeypatch,
                                       sink, exchange):
     """A snapshot, one incremental-snapshot chunk and a ``replay_window``
     over a Dataset on either exchange each run one Ray Data job (one
-    ``take_all``) per commit and materialize nothing."""
+    execution) per commit and materialize nothing."""
     import ray.data as rd
+    from ray.data._internal.plan import ExecutionPlan
 
     sc = generate_scenario(n_convs=8, turns_per_conv=3, n_commits=80, seed=131)
     eng = CdcEngine(out_dir=str(tmp_path / "lh"), num_partitions=4,
@@ -39,16 +43,18 @@ def test_single_table_sink_is_one_job(ray_session, tmp_path, monkeypatch,
     before = len(load_manifests(eng.out_dir))
 
     calls = []
-    take_all = rd.Dataset.take_all
+    execute = ExecutionPlan.execute_to_iterator
 
     def counted(self, *a, **kw):
         calls.append(1)
-        return take_all(self, *a, **kw)
+        return execute(self, *a, **kw)
 
     def refuse(self, *a, **kw):
         raise AssertionError("a staging job materialized a Dataset")
 
-    monkeypatch.setattr(rd.Dataset, "take_all", counted)
+    # ``take_all`` (write sink) and ``iter_internal_ref_bundles`` (shuffle
+    # sink) both execute their Dataset here
+    monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", counted)
     monkeypatch.setattr(rd.Dataset, "materialize", refuse)
     if sink == "snapshot":
         ms = [eng.snapshot(lake, sc.snapshot_lsn)]
@@ -146,3 +152,134 @@ def test_crashed_sink_task_is_retried_and_its_file_stays_invisible(
         got = pa.Table.from_pandas(eng.state_dataset().to_pandas(),
                                    preserve_index=False)
         assert sorted_pdf(got.select(want.column_names)).equals(sorted_pdf(want))
+
+
+def _count_tasks(monkeypatch) -> dict:
+    """Count the plain-task exchange's split and reduce launches; a split's
+    entry is its ``num_returns``."""
+    calls = {"split": [], "reduce": 0}
+    split, reduce = xmod._split, xmod._reduce
+
+    class Split:
+        def options(self, **kw):
+            calls["split"].append(kw["num_returns"])
+            return split.options(**kw)
+
+    class Reduce:
+        def remote(self, *a):
+            calls["reduce"] += 1
+            return reduce.remote(*a)
+
+    monkeypatch.setattr(xmod, "_split", Split())
+    monkeypatch.setattr(xmod, "_reduce", Reduce())
+    return calls
+
+
+def _three_blocks(table: pa.Table) -> list[pa.Table]:
+    """``table`` as three blocks. In a changelog every update's before
+    image (op 3) sits in an earlier block than its after image (op 4)."""
+    if "op" not in table.column_names:
+        n = table.num_rows // 3
+        return [table.slice(0, n), table.slice(n, n), table.slice(2 * n)]
+    after = table["op"].to_numpy() == 4
+    rest = table.filter(pa.array(~after))
+    half = rest.num_rows // 2
+    return [rest.slice(0, half), rest.slice(half),
+            table.filter(pa.array(after))]
+
+
+def _manifest_shapes(out: str) -> list:
+    """A lake's manifests with each partition's file names replaced by
+    their count (file names carry uuids)."""
+    return [(m.kind, m.from_lsn, m.to_lsn, m.snapshot_completed,
+             {k: {**p, "files": len(p["files"])}
+              for k, p in m.partitions.items()})
+            for m in load_manifests(out)]
+
+
+@pytest.mark.parametrize("phase", ["snapshot", "connector-window"])
+def test_exchange_with_several_reduce_tasks_matches_one(
+    ray_session, tmp_path, monkeypatch, phase
+):
+    """Three input blocks and a small ``batch_size`` give several tagged
+    blocks, so the shuffle sink splits each into several reduce tasks. A
+    snapshot and a strict 2-table connector window (each update's before
+    and after images in different blocks) still match the oracle, stage
+    exactly one file per (table, partition), and commit the manifests of
+    a one-block run, whose one reduce task takes the block unsplit."""
+    import ray.data as rd
+
+    from debezium_connector_db2_ray.connector import CdcConnector
+
+    sc = {"TA": generate_scenario(n_convs=8, turns_per_conv=3, n_commits=80,
+                                  seed=151),
+          "TB": generate_scenario(n_convs=8, turns_per_conv=3, n_commits=80,
+                                  seed=152)}
+    snap = sc["TA"].snapshot_lsn
+    hi = Lsn(0, max(s.max_lsn.to_int() for s in sc.values()))
+    stream = pa.concat_tables([
+        s.changelog.append_column("src_table", pa.array([t] * s.changelog.num_rows))
+        for t, s in sc.items()
+    ])
+
+    def run(name: str, split: bool):
+        conn = CdcConnector(root_dir=str(tmp_path / name), num_partitions=4)
+        batch_size = 4 if split else conn.engine("TA").batch_size
+        for t in sc:
+            conn.engine(t).batch_size = batch_size
+        if phase == "snapshot":
+            lake = sc["TA"].lake
+            calls = _count_tasks(monkeypatch)
+            conn.snapshot_all({"TA": rd.from_arrow(
+                _three_blocks(lake) if split else lake)}, snap)
+            monkeypatch.undo()
+            _assert_state(conn, "TA", oracle_apply(
+                lake, sc["TA"].ordered_changelog.slice(0, 0), snap))
+            tables = ["TA"]
+        else:
+            conn.snapshot_all({t: rd.from_arrow(s.lake) for t, s in sc.items()},
+                              snap)
+            calls = _count_tasks(monkeypatch)
+            ms = conn.replay(
+                rd.from_arrow(_three_blocks(stream) if split else stream),
+                snap, hi, 1, tables=sorted(sc))
+            monkeypatch.undo()
+            assert {t: len(m) for t, m in ms.items()} == {"TA": 1, "TB": 1}
+            for t, s in sc.items():
+                _assert_state(conn, t,
+                              oracle_apply(s.lake, s.ordered_changelog, snap))
+            tables = sorted(sc)
+        outs = [conn.engine(t).out_dir for t in tables]
+        for o in outs:
+            m = load_manifests(o)[-1]
+            assert m.partitions
+            assert all(len(p["files"]) == 1 for p in m.partitions.values())
+        return calls, [_manifest_shapes(o) for o in outs]
+
+    calls, split_shapes = run("split", True)
+    assert len(calls["split"]) > 1
+    assert set(calls["split"]) == {calls["reduce"]} and calls["reduce"] > 1
+    calls, one_shapes = run("one", False)
+    assert calls == {"split": [], "reduce": 1}
+    assert split_shapes == one_shapes
+
+
+def test_empty_shuffle_window_commits_no_partitions_and_no_reduce_task(
+    ray_session, tmp_path, monkeypatch
+):
+    """A shuffle window that holds no event commits its manifest (the
+    watermark moves) with no partitions, and starts no split or reduce
+    task."""
+    import ray.data as rd
+
+    sc = generate_scenario(n_convs=8, turns_per_conv=3, n_commits=80, seed=153)
+    eng = CdcEngine(out_dir=str(tmp_path / "lh"), num_partitions=4)
+    eng.snapshot(rd.from_arrow(sc.lake), sc.snapshot_lsn)
+    lo = Lsn.from_int(sc.max_lsn.to_int() + 10)
+    hi = Lsn.from_int(lo.to_int() + 10)
+    calls = _count_tasks(monkeypatch)
+    m = eng.replay_window(rd.from_arrow(sc.changelog), lo, hi)
+    monkeypatch.undo()
+    assert calls == {"split": [], "reduce": 0}
+    assert m is not None and m.partitions == {}
+    assert load_manifests(eng.out_dir)[-1].to_lsn == hi.hex()
