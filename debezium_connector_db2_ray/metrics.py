@@ -70,10 +70,12 @@ def collect_metrics(out_dir: str) -> EngineMetrics:
 
 
 def read_amplification(out_dir: str) -> int:
-    """Max number of live files any single partition's merge-on-read must
-    open — THE merge-on-read cost driver (state-read cost grows linearly
-    with it until a compaction resets it). Computed from manifests only;
-    cheap enough to check after every window."""
+    """Max number of live files any single partition names — THE
+    merge-on-read cost driver (state-read cost grows linearly with it
+    until a compaction resets it). A merge unit of several partitions opens
+    each of their shared files once, so this counts a partition's files,
+    not the opens of its unit. Computed from manifests only; cheap enough
+    to check after every window."""
     from debezium_connector_db2_ray.state.manifest import partition_files
 
     by_part = partition_files(out_dir)

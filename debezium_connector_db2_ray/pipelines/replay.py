@@ -31,6 +31,9 @@ Every Ray Data shape above is one job built by ``CdcEngine._staged``; on
 the shuffle exchange the job ends at the prep map and its reduce runs as
 plain tasks (``functions.exchange.task_exchange``). The write-exchange
 tasks over a changelog path (and compaction's) are ``_run_stage_tasks``.
+State reads and compaction merge on read by unit (``merge_unit``): one
+task per run of consecutive hash partitions of at most ``batch_size`` live
+rows opens each of its files once.
 Each window is one bounded unit of work (the reference's poll iteration,
 which drains a closed interval [fromLsn, currentMaxLsn] completely): a Ray
 Data job and its reduce tasks on the shuffle exchange, a handful of tasks
@@ -76,6 +79,8 @@ from debezium_connector_db2_ray.schema import (
     CHANGELOG_META_COLUMNS,
     KEY_COLUMNS,
     conform_table,
+    defaults_from_schema,
+    unify_payload_schemas,
 )
 
 from debezium_connector_db2_ray.stages.apply import (
@@ -92,8 +97,8 @@ from debezium_connector_db2_ray.state.manifest import (
     WindowManifest,
     commit_manifest,
     committed_watermark,
+    live_partitions,
     next_window_id,
-    partition_files,
 )
 
 META_SET = set(CHANGELOG_META_COLUMNS)
@@ -218,7 +223,7 @@ def fragment_writer(delta_dir: str, *,
     It runs in the plain stage tasks (``_stage_task``) of a
     ``replay_from_parquet`` window, one call per ~``batch_size`` prepped
     rows of a unit of row groups, and of ``compact()``, one call per
-    partition; in the Ray Data staging job (``CdcEngine._staged``) of a
+    merge unit; in the Ray Data staging job (``CdcEngine._staged``) of a
     ``replay_window`` over a Dataset or a connector window, one call per
     table on each batch."""
 
@@ -257,37 +262,112 @@ def fragment_writer(delta_dir: str, *,
     return fn
 
 
-def read_partition_table(
-    files: list[str], partition: int,
-    default_fill: dict | None = None,
-) -> pa.Table:
-    """Read one hash partition's rows from its live files: per-partition
-    delta files load whole; fragment files prune to the partition's row
-    groups via the ``__part`` statistics.
+def merge_units(live: dict[int, tuple[int, list[str]]], batch_size: int,
+                cpus: int) -> list[dict]:
+    """Pack consecutive live partitions ``{partition: (rows, files)}`` into
+    merge-on-read units ``{"partitions": [p, ...], "files": [[f, ...], ...]}``
+    of at most ``batch_size`` live rows (a larger partition is a unit of its
+    own), and into at least min(live partitions, ``cpus``) units, so a host
+    with a CPU per partition keeps one task per partition."""
+    parts = sorted(live.items())
+    need = min(len(parts), cpus)
+    cap = min(batch_size, -(-sum(r for r, _ in live.values()) // max(need, 1)))
+    units: list[dict] = []
+    rows = 0
+    for i, (p, (r, files)) in enumerate(parts):
+        if (not units or rows + r > cap
+                or len(parts) - i <= need - len(units)):
+            units.append({"partitions": [], "files": []})
+            rows = 0
+        units[-1]["partitions"].append(p)
+        units[-1]["files"].append(files)
+        rows += r
+    return units
+
+
+def _with_defaults(t: pa.Table, default_fill: dict) -> pa.Table:
+    for c, (typ, val) in default_fill.items():
+        if c not in t.column_names:
+            t = t.append_column(
+                c, pa.nulls(t.num_rows, typ).fill_null(pa.scalar(val, typ)))
+    return t
+
+
+def _file_pieces(path: str, parts: set[int],
+                 default_fill: dict) -> dict[int, list[pa.Table]]:
+    """One live file's rows of the partitions ``parts``, per partition in
+    file order. Row groups whose ``__part`` footer stats hold none of
+    ``parts`` are skipped, a group whose stats pin one partition is taken
+    whole, and only the other groups (no stats included) are split by
+    ``__part``."""
+    out: dict[int, list[pa.Table]] = {}
+    with pq.ParquetFile(path) as f:
+        md = f.metadata
+        col = md.schema.names.index(PART_COL)
+        for g in range(md.num_row_groups):
+            s = md.row_group(g).column(col).statistics
+            lo, hi = (s.min, s.max) if s is not None and s.has_min_max else (None, None)
+            if lo is not None and not any(lo <= p <= hi for p in parts):
+                continue
+            t = _with_defaults(f.read_row_group(g), default_fill)
+            if lo is not None and lo == hi:
+                out.setdefault(lo, []).append(t)
+                continue
+            code = t[PART_COL].to_numpy(zero_copy_only=False)
+            if (code[1:] < code[:-1]).any():  # fragments come clustered
+                order = np.argsort(code, kind="stable")
+                t, code = t.take(order), code[order]
+            uniq, starts, counts = np.unique(
+                code, return_index=True, return_counts=True)
+            for p, b, n in zip(uniq.tolist(), starts, counts):
+                if p in parts:
+                    out.setdefault(p, []).append(t.slice(b, n))
+    return out
+
+
+def read_unit_table(unit: dict, default_fill: dict | None = None) -> pa.Table | None:
+    """A merge unit's live rows (None if it has none): the union of its
+    partitions' files is opened once each, in commit order, and only the
+    row groups that can hold one of its partitions are read. Rows are
+    concatenated partition by partition, each in its own files' order, the
+    order a per-partition read gives.
 
     ``default_fill`` maps column -> (arrow type, typed default): a column
     an ALTER added WITH a DEFAULT is materialized PER FILE before the
-    concat, so pre-ALTER rows carry the typed default even when the
-    partition mixes file generations (a permissive concat would null-fill
-    them and the default would be unrecoverable downstream —
+    concat, so pre-ALTER rows carry the typed default even when the unit
+    mixes file generations (a permissive concat would null-fill them and
+    the default would be unrecoverable downstream —
     AbstractDb2DefaultValueIT semantics)."""
-    tables = []
-    for f in files:
-        t = pq.read_table(f, filters=[(PART_COL, "=", partition)])
-        if t.num_rows:
-            if default_fill:
-                for c, (typ, val) in default_fill.items():
-                    if c not in t.column_names:
-                        t = t.append_column(
-                            c,
-                            pa.nulls(t.num_rows, typ).fill_null(
-                                pa.scalar(val, typ)
-                            ),
-                        )
-            tables.append(t)
+    parts, files = unit["partitions"], unit["files"]
+    pieces = {f: _file_pieces(f, set(parts), default_fill or {})
+              for f in dict.fromkeys(f for fs in files for f in fs)}
+    tables = [t for p, fs in zip(parts, files) for f in fs
+              for t in pieces[f].get(p, ())]
     if not tables:
         return None
     return pa.concat_tables(tables, promote_options="permissive")
+
+
+def merge_unit(unit: dict, default_fill: dict,
+               key_columns: tuple[str, ...]) -> pa.Table | None:
+    """The merge-on-read kernel of ``state_dataset`` and ``compact``: read a
+    unit and LWW-collapse it once, tombstones dropped, meta columns kept.
+    One collapse serves the whole unit because a key never spans
+    partitions (``CdcEngine._check_partitioning``)."""
+    t = read_unit_table(unit, default_fill)
+    if t is None:
+        return None
+    return final_state(lww_collapse(
+        t.drop_columns([PART_COL]), validate_pairs=False,
+        key_columns=key_columns,
+    ), keep_meta=True)
+
+
+def _cluster_cpus() -> int:
+    """CPUs of the Ray cluster (of this host before Ray starts)."""
+    if ray.is_initialized():
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -318,7 +398,9 @@ class CdcEngine:
     its tables) is one job built by ``_staged``, which on the shuffle
     exchange is one prep map followed by plain reduce tasks; a
     write-exchange window over a changelog path and compaction stage with
-    plain tasks only.
+    plain tasks only. State reads and compaction merge on read through one
+    kernel, ``merge_unit``: one task per unit of consecutive hash
+    partitions opens each of the unit's live files once.
     """
 
     out_dir: str
@@ -949,75 +1031,54 @@ class CdcEngine:
 
     # ---- reads ------------------------------------------------------------
 
-    def _default_fill(self) -> dict:
-        """{column -> (arrow type, typed default)} for columns the governing
-        schema records a DEFAULT expression for — materialized per FILE at
-        every merge-on-read so pre-ALTER rows carry the typed value."""
-        from debezium_connector_db2_ray.schema import defaults_from_schema
-
+    def _merge_plan(self) -> tuple[list[dict], pa.Schema | None, dict]:
+        """What both merge-on-read callers need, each read once: the merge
+        units (sized by ``batch_size`` and the cluster's CPUs), the latest
+        payload schema from the durable history (None before any CREATE)
+        and the ``default_fill`` of its DEFAULT columns."""
+        units = merge_units(live_partitions(self.out_dir), self.batch_size,
+                            _cluster_cpus())
         bounds = self.schema_history.boundaries(self.table_name)
         if not bounds:
-            return {}
+            return units, None, {}
         payload = bounds[-1][1]
-        vals = defaults_from_schema(payload)
-        return {c: (payload.field(c).type, v) for c, v in vals.items()}
+        fill = {c: (payload.field(c).type, v)
+                for c, v in defaults_from_schema(payload).items()}
+        return units, payload, fill
 
     def state_dataset(self, *, keep_meta: bool = False) -> "ray.data.Dataset":
-        """Current lake state, merge-on-read: one task per hash partition
-        reads ONLY that partition's committed files and collapses them — no
-        shuffle (files are already partitioned by key hash)."""
-        by_part = partition_files(self.out_dir)
-        items = [{"partition": k, "files": v} for k, v in sorted(by_part.items())]
-        if not items:
+        """Current lake state, merge-on-read: one task per merge unit of
+        consecutive hash partitions (``merge_units``) opens each of the
+        unit's committed files once, reads only the row groups of its
+        partitions and collapses them — no shuffle (files are already
+        partitioned by key hash). Lazy: a Dataset of one block per unit."""
+        units, payload, fill = self._merge_plan()
+        if not units:
             return ray.data.from_items([])
-        # governing payload schema from the durable history: partitions whose
-        # winners predate an ALTER are conformed (null-backfill + widening)
-        # so the output Dataset is schema-homogeneous across blocks
-        hist = self.schema_history
-        bounds = hist.boundaries(self.table_name)
-        latest_payload = bounds[-1][1] if bounds else None
         keys = self.key_columns
-        fill = self._default_fill()
+        defaults = {c: v for c, (_, v) in fill.items()}
 
-        def read_partition(batch: pa.Table) -> pa.Table:
-            outs = []
-            for row in batch.to_pylist():
-                t = read_partition_table(
-                    row["files"], row["partition"], default_fill=fill
-                )
-                if t is None:
-                    continue
-                collapsed = lww_collapse(
-                    t.drop_columns([PART_COL]), validate_pairs=False,
-                    key_columns=keys,
-                )
-                st = final_state(collapsed, keep_meta=keep_meta)
-                if latest_payload is not None and not keep_meta:
-                    from debezium_connector_db2_ray.schema import (
-                        defaults_from_schema,
-                        unify_payload_schemas,
-                    )
-
-                    target = unify_payload_schemas(latest_payload, st.schema)
-                    # columns an ALTER added WITH a DEFAULT backfill typed
-                    # values into pre-ALTER rows, not nulls
-                    # (AbstractDb2DefaultValueIT)
-                    st = conform_table(
-                        st, target, defaults=defaults_from_schema(target)
-                    )
-                outs.append(st)
-            if not outs:
+        def read_unit(batch: pa.Table) -> pa.Table:
+            st = merge_unit(batch.to_pylist()[0], fill, keys)
+            if st is None:
                 return pa.table({})
-            return pa.concat_tables(outs, promote_options="permissive")
+            st = final_state(st, keep_meta=keep_meta)
+            if payload is not None and not keep_meta:
+                # units whose winners predate an ALTER are conformed
+                # (null-backfill + widening, DEFAULT columns typed —
+                # AbstractDb2DefaultValueIT), so blocks share one schema
+                st = conform_table(
+                    st, unify_payload_schemas(payload, st.schema), defaults)
+            return st
 
-        return ray.data.from_items(items).map_batches(
-            read_partition, batch_format="pyarrow", batch_size=1
+        return ray.data.from_items(units).map_batches(
+            read_unit, batch_format="pyarrow", batch_size=1
         )
 
     def compact(self) -> WindowManifest:
-        """Fold base + deltas into fresh per-partition base files and commit a
-        compaction manifest; older files become dead (merge-on-read cost
-        reset). Tombstones are dropped — nothing older remains to shadow.
+        """Fold base + deltas into fresh base files and commit a compaction
+        manifest; older files become dead (merge-on-read cost reset).
+        Tombstones are dropped — nothing older remains to shadow.
 
         Compaction RE-TAGS every surviving row under the engine's CURRENT
         (num_partitions, salt), so it doubles as the repartitioning barrier:
@@ -1025,30 +1086,23 @@ class CdcEngine:
         the engine with the new settings and run compact() before replaying
         further windows.
 
-        One plain Ray task per partition (``_stage_task``) folds that
-        partition and writes its base fragment."""
-        units = sorted(partition_files(self.out_dir).items())
+        One plain Ray task per merge unit (``_stage_task``, units as in
+        ``state_dataset``) folds the unit and writes its one
+        partition-clustered base fragment."""
+        units, _, fill = self._merge_plan()
         tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
         keys = self.key_columns
-        fill = self._default_fill()
 
         def stage(delta_dir: str) -> list[dict]:
             writer = fragment_writer(delta_dir, key_columns=keys)
 
-            def compact_partition(unit) -> pa.Table:
-                partition, files = unit
-                t = read_partition_table(files, partition, default_fill=fill)
-                if t is None:
+            def compact_unit(unit: dict) -> pa.Table:
+                st = merge_unit(unit, fill, keys)
+                if st is None or not st.num_rows:
                     return _MANIFEST_ROW_SCHEMA.empty_table()
-                collapsed = final_state(lww_collapse(
-                    t.drop_columns([PART_COL]), validate_pairs=False,
-                    key_columns=keys,
-                ), keep_meta=True)
-                if not collapsed.num_rows:
-                    return _MANIFEST_ROW_SCHEMA.empty_table()
-                return writer(tagger(collapsed))
+                return writer(tagger(st))
 
-            return _run_stage_tasks(compact_partition, units)
+            return _run_stage_tasks(compact_unit, units)
 
         m = self._commit(
             "compaction", stage, to_lsn=committed_watermark(self.out_dir)

@@ -154,16 +154,24 @@ def live_files(out_dir: str) -> list[str]:
     return list(seen)
 
 
-def partition_files(out_dir: str) -> dict[int, list[str]]:
-    """Live files per hash partition, from committed manifests. With the
+def live_partitions(out_dir: str) -> dict[int, tuple[int, list[str]]]:
+    """Per hash partition, from committed manifests: (live rows, summed
+    from the lineage ``rows``; live files in commit order). With the
     write-exchange sink a fragment file holds several partitions' row groups
     (clustered + pruned by the ``__part`` column at read); it is listed under
     each partition it contains."""
+    rows: dict[int, int] = {}
     seen: dict[int, dict[str, None]] = {}  # insertion-ordered file sets
     for m in _live_manifests(out_dir):
         for pid, p in m.partitions.items():
+            rows[int(pid)] = rows.get(int(pid), 0) + p["rows"]
             seen.setdefault(int(pid), {}).update(dict.fromkeys(p["files"]))
-    return {pid: list(files) for pid, files in seen.items()}
+    return {pid: (rows[pid], list(files)) for pid, files in seen.items()}
+
+
+def partition_files(out_dir: str) -> dict[int, list[str]]:
+    """Live files per hash partition (``live_partitions`` without rows)."""
+    return {pid: files for pid, (_, files) in live_partitions(out_dir).items()}
 
 
 def resume_offset(out_dir: str) -> dict[str, Any] | None:

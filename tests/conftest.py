@@ -8,6 +8,16 @@ import pytest
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def pytest_configure(config):
+    # Ray Data's non-shuffle repartition calls Ray's own deprecated ``free``
+    # (ray/data/_internal/memory_tracing.py); the warning is Ray's, not ours
+    config.addinivalue_line(
+        "filterwarnings",
+        r"ignore:`free` is a deprecated API and will be removed"
+        r":DeprecationWarning:ray\._private\.internal_api",
+    )
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray
