@@ -15,7 +15,8 @@ The durable replay sink (``pipelines.replay.CdcEngine._staged``) shuffles
 with ``task_exchange`` instead: its ``__part`` is a group code the caller
 tags (the persisted, salted ``tag_partitions`` layout, offset per target),
 and it is bounded to one window, so its reduce runs as plain Ray tasks
-after the Ray Data job that preps the rows — no sort shuffle.
+after the Ray Data job that preps the rows — no sort shuffle, and one
+kernel call per reduce task over every code in its range.
 """
 
 from __future__ import annotations
@@ -220,23 +221,17 @@ def _split(block: pa.Table, bounds: list[int]) -> tuple:
 
 
 @ray.remote(**_RETRY)
-def _reduce(kernel, *parts: pa.Table) -> list[pa.Table]:
-    """``kernel`` once per group code present in ``parts``."""
-    t = pa.concat_tables(parts, promote_options="default")
-    codes = t[PART].to_numpy(zero_copy_only=False)
-    order = np.argsort(codes, kind="stable")
-    t = t.take(order)
-    _, starts, counts = np.unique(codes[order], return_index=True,
-                                  return_counts=True)
-    return [kernel(t.slice(s, c)) for s, c in zip(starts, counts)]
+def _reduce(kernel, *parts: pa.Table) -> pa.Table:
+    """``kernel`` once over the concatenated ``parts`` of one code range."""
+    return kernel(pa.concat_tables(parts, promote_options="default"))
 
 
 def task_exchange(ds, num_codes: int, kernel) -> list[pa.Table]:
     """Shuffle a ``PART``-tagged Dataset (codes in ``[0, num_codes)``) with
-    plain Ray tasks and return ``kernel(group)`` for every code present;
-    each group keeps its ``PART`` column. For bounded inputs (a window, a
-    snapshot) whose per-code work is small next to a sort shuffle's
-    scheduling.
+    plain Ray tasks and return ``kernel(rows)`` for every reduce task,
+    ``rows`` being every row of its code range, unordered, ``PART``
+    kept. For bounded inputs (a window, a snapshot) whose per-code work is
+    small next to a sort shuffle's scheduling.
 
     The Dataset runs once (``iter_internal_ref_bundles``) and its 0-row
     blocks are dropped by their metadata. R = min(blocks, num_codes) reduce
@@ -257,5 +252,4 @@ def task_exchange(ds, num_codes: int, kernel) -> list[pa.Table]:
         cut = [_split.options(num_returns=r).remote(b, bounds) for b in blocks]
         parts = [[c[i] for c in cut] for i in range(r)]
     ref = ray.put(kernel)
-    return [t for ts in ray.get([_reduce.remote(ref, *p) for p in parts])
-            for t in ts]
+    return ray.get([_reduce.remote(ref, *p) for p in parts])

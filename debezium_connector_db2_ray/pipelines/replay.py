@@ -6,20 +6,23 @@ Db2StreamingChangeEventSource.java:132-302) reshaped for Ray Data:
 
   snapshot (and each incremental-snapshot chunk):
              read(lake) --map_batches(snapshot events, partition tag)-->
-             plain-task exchange on part (collapse, staged write) --> manifest
+             plain-task exchange on part (full collapse, one fragment per
+             reduce task) --> manifest
   window w of a Dataset, shuffle exchange:
              read_parquet(changelog, filter lsn in (from, to]) -->
              map_batches(null-LSN drop, partition tag [, partial LWW]) -->
              plain-task exchange on part: split tasks (when several
-             reduce tasks) --> reduce tasks (per part: sort, pair-validate,
-             LWW apply, staged write) --> commit manifest (watermark = to_lsn)
+             reduce tasks) --> reduce tasks (one sort led by part:
+             pair-validate, LWW apply; one fragment write) --> commit
+             manifest (watermark = to_lsn)
   window w of a Dataset, write exchange:
              map_batches(prep as above, then fragment write) --> manifest
   connector window w (``CdcConnector``, T tables, one job):
              read(stream) --map_batches(slice to (from, to], route to each
              table, stop fence, prep as above; part = table index *
              num_partitions + partition)--> plain-task exchange on part
-             (staged write into that table's dir) --> one manifest per table
+             (each reduce task: one fragment per table into that table's
+             dir) --> one manifest per table
              (write exchange: one fragment write per table per batch)
   window w, write exchange over a changelog path:
              row groups pruned to (from, to] by cached footer stats -->
@@ -53,7 +56,8 @@ Scale notes (100 TB design):
   (#events);
 - hot conv_ids are split by salted sub-partitioning (``salt`` > 1) — legal
   because the LWW key is (conv_id, turn_idx);
-- outputs are per-partition files, so downstream reads and re-runs are
+- outputs are partition-clustered fragments whose row groups carry
+  ``__part`` stats, so downstream reads and re-runs are
   partition-parallel and resumable.
 """
 
@@ -166,91 +170,62 @@ def _lsn_range(table: pa.Table) -> tuple[str | None, str | None]:
         return None, None
     chi = table["commit_lsn_hi"].to_numpy(zero_copy_only=False).astype(np.uint64)
     clo = table["commit_lsn_lo"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    order = np.lexsort((clo, chi))
-    lo, hi = int(order[0]), int(order[-1])
-    return lsn_hex(int(chi[lo]), int(clo[lo])), lsn_hex(int(chi[hi]), int(clo[hi]))
+    lo, hi = chi.min(), chi.max()
+    return (lsn_hex(int(lo), int(clo[chi == lo].min())),
+            lsn_hex(int(hi), int(clo[chi == hi].max())))
 
 
-def staged_writer(delta_dir: str, *, validate_pairs: bool,
-                  key_columns: tuple[str, ...] = KEY_COLUMNS):
-    """Reduce kernel of the shuffle sink over one hash partition:
-    LWW-collapse the partition and stage its parquet file; emit one manifest
-    row. The file only becomes visible when the driver commits the window
-    manifest (two-phase sink)."""
-
-    def fn(group: pa.Table) -> pa.Table:
-        part = int(group[PART_COL][0].as_py())
-        collapsed = lww_collapse(
-            group.drop_columns([PART_COL]), validate_pairs=validate_pairs,
-            key_columns=key_columns,
-        )
-        pdir = os.path.join(delta_dir, f"part={part:05d}")
-        os.makedirs(pdir, exist_ok=True)
-        path = os.path.join(pdir, f"part-{uuid.uuid4().hex}.parquet")
-        collapsed = collapsed.append_column(
-            PART_COL, pa.array(np.full(collapsed.num_rows, part, np.int32))
-        )
-        pq.write_table(collapsed, path, compression="zstd")
-        mn, mx = _lsn_range(collapsed)
-        return pa.Table.from_pylist(
-            [
-                {
-                    "partition": part,
-                    "rows": collapsed.num_rows,
-                    "file": path,
-                    "op_counts": _op_counts(
-                        collapsed["op"].to_numpy(zero_copy_only=False)),
-                    "min_lsn": mn,
-                    "max_lsn": mx,
-                }
-            ],
-            schema=_MANIFEST_ROW_SCHEMA,
-        )
-
-    return fn
+COLLAPSE_MODES = ("partial", "full", "strict", "none")
 
 
-def fragment_writer(delta_dir: str, *,
+def fragment_writer(delta_dir: str, *, collapse: str = "partial",
                     key_columns: tuple[str, ...] = KEY_COLUMNS):
-    """``batch -> manifest rows`` kernel of the WRITE-EXCHANGE sink:
-    partial-collapse a tagged batch, cluster it by hash partition, and write
-    ONE fragment parquet whose row groups are partition-aligned — then emit
-    one manifest row per partition present. No Ray all-to-all at all: the
-    'shuffle' happens at read time via ``__part`` row-group pruning
-    (merge-on-read, write-optimized — the Hudi/Delta MOR shape), so a
-    window's traffic to the driver is O(manifest rows), not O(events).
+    """``tagged table -> manifest rows``, the engine's one sink kernel:
+    collapse the rows, cluster them by hash partition with the same one
+    ``np.lexsort`` (``__part`` leads; the partition is a function of the
+    key), write ONE fragment whose row groups are partition-aligned and
+    emit one manifest row per partition in it. The file is visible only
+    once the driver commits the window manifest (two-phase sink).
 
-    It runs in the plain stage tasks (``_stage_task``) of a
-    ``replay_from_parquet`` window, one call per ~``batch_size`` prepped
-    rows of a unit of row groups, and of ``compact()``, one call per
-    merge unit; in the Ray Data staging job (``CdcEngine._staged``) of a
-    ``replay_window`` over a Dataset or a connector window, one call per
-    table on each batch."""
+    ``collapse``: "partial" — a per-batch combiner (a winning op 3 is
+    legal, its op 4 may sit in another batch): the write exchange, once
+    per ~``batch_size`` rows; "full" — last-writer-wins apply, a winning
+    op 3 raises, and "strict" — "full" with every update pair validated:
+    the shuffle exchange, once per table in each reduce task; "none" —
+    rows already unique per key, only clustered: ``compact()``, once per
+    merge unit."""
+    if collapse not in COLLAPSE_MODES:
+        raise ValueError(f"collapse must be one of {COLLAPSE_MODES}")
 
     def fn(batch: pa.Table) -> pa.Table:
-        batch = lww_collapse(batch, validate_pairs=False, partial=True,
-                             key_columns=key_columns)
+        if collapse == "none":
+            order = np.argsort(batch[PART_COL].to_numpy(zero_copy_only=False),
+                               kind="stable")
+            batch = batch.take(order)
+        else:
+            batch = lww_collapse(
+                batch, validate_pairs=collapse == "strict",
+                partial=collapse == "partial", key_columns=key_columns,
+                cluster=PART_COL,
+            )
         if batch.num_rows == 0:
             return _MANIFEST_ROW_SCHEMA.empty_table()
         parts = batch[PART_COL].to_numpy(zero_copy_only=False)
-        order = np.argsort(parts, kind="stable")
-        batch = batch.take(order)
-        parts = parts[order]
+        starts = np.flatnonzero(np.r_[True, parts[1:] != parts[:-1]])
+        counts = np.diff(np.r_[starts, len(parts)])
         os.makedirs(delta_dir, exist_ok=True)
         path = os.path.join(delta_dir, f"frag-{uuid.uuid4().hex}.parquet")
-        uniq, starts, counts = np.unique(parts, return_index=True, return_counts=True)
         # row groups sized so one partition spans few groups (pruning works)
-        rg = max(16_384, batch.num_rows // max(1, len(uniq)))
+        rg = max(16_384, batch.num_rows // len(starts))
         pq.write_table(batch, path, row_group_size=rg, compression="zstd")
         op = batch["op"].to_numpy(zero_copy_only=False)
         rows = []
-        for p, s, c in zip(uniq, starts, counts):
-            sl = batch.slice(s, c)
-            mn, mx = _lsn_range(sl)
+        for s, c in zip(starts.tolist(), counts.tolist()):
+            mn, mx = _lsn_range(batch.slice(s, c))
             rows.append(
                 {
-                    "partition": int(p),
-                    "rows": int(c),
+                    "partition": int(parts[s]),
+                    "rows": c,
                     "file": path,
                     "op_counts": _op_counts(op[s : s + c]),
                     "min_lsn": mn,
@@ -260,6 +235,15 @@ def fragment_writer(delta_dir: str, *,
         return pa.Table.from_pylist(rows, schema=_MANIFEST_ROW_SCHEMA)
 
     return fn
+
+
+def staged_writer(delta_dir: str, *, validate_pairs: bool,
+                  key_columns: tuple[str, ...] = KEY_COLUMNS):
+    """``fragment_writer`` with a full collapse ("strict" under
+    ``validate_pairs``). The engine no longer calls it; it stays for the
+    benchmark's per-layer tracer (``replaybench/layers.py``)."""
+    return fragment_writer(delta_dir, key_columns=key_columns,
+                           collapse="strict" if validate_pairs else "full")
 
 
 def merge_units(live: dict[int, tuple[int, list[str]]], batch_size: int,
@@ -375,8 +359,9 @@ class CdcEngine:
     """A CDC target lake: output directory + partitioning/exchange policy.
 
     ``exchange`` — which one serves which need:
-    - "shuffle" (default): hash shuffle + per-partition LWW collapse
-      before the staged write (read-optimized deltas). Required for strict
+    - "shuffle" (default): hash shuffle + full LWW collapse in each reduce
+      task before its one fragment write per table (read-optimized
+      deltas: one row per key). Required for strict
       ``validate_pairs``, which must see every image of a key in one task;
       with ``validate_pairs=False`` each batch is partially collapsed before
       the shuffle. The replay benchmark's ``connector_strict`` workload
@@ -398,9 +383,11 @@ class CdcEngine:
     its tables) is one job built by ``_staged``, which on the shuffle
     exchange is one prep map followed by plain reduce tasks; a
     write-exchange window over a changelog path and compaction stage with
-    plain tasks only. State reads and compaction merge on read through one
-    kernel, ``merge_unit``: one task per unit of consecutive hash
-    partitions opens each of the unit's live files once.
+    plain tasks only. All of them write through one sink kernel,
+    ``fragment_writer``: one fragment per table per reduce task or batch.
+    State reads and compaction merge on read through one kernel,
+    ``merge_unit``: one task per unit of consecutive hash partitions
+    opens each of the unit's live files once.
     """
 
     out_dir: str
@@ -1088,13 +1075,15 @@ class CdcEngine:
 
         One plain Ray task per merge unit (``_stage_task``, units as in
         ``state_dataset``) folds the unit and writes its one
-        partition-clustered base fragment."""
+        partition-clustered base fragment; the fold already collapsed the
+        rows, so the sink kernel only clusters them (collapse "none")."""
         units, _, fill = self._merge_plan()
         tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
         keys = self.key_columns
 
         def stage(delta_dir: str) -> list[dict]:
-            writer = fragment_writer(delta_dir, key_columns=keys)
+            writer = fragment_writer(delta_dir, collapse="none",
+                                     key_columns=keys)
 
             def compact_unit(unit: dict) -> pa.Table:
                 st = merge_unit(unit, fill, keys)
@@ -1125,13 +1114,14 @@ class CdcEngine:
         target's excluded columns just before its writer, and the job
         returns every target's manifest rows.
 
-        - write: one ``fragment_writer`` call per target on each batch.
+        - write: one ``fragment_writer`` call per target on each batch
+          (partial collapse).
         - shuffle: ``PART_COL`` becomes the group code
           ``target index * num_partitions + partition`` (the partition for
           one target); the job ends at the prep map, and ``task_exchange``
-          gathers each (target, partition) in plain reduce tasks, where the
-          target's ``staged_writer`` stages it with the partition
-          restored."""
+          gathers each range of codes in one plain reduce task, which
+          runs each target's ``fragment_writer`` (full collapse) once on
+          that target's rows, partition restored."""
         n = targets[0][0].num_partitions
         projs = projs or [None] * len(targets)
 
@@ -1159,8 +1149,9 @@ class CdcEngine:
 
             return ds.map_batches(write_batch, batch_format="pyarrow",
                                   batch_size=batch_size).take_all()
-        writers = [staged_writer(d, validate_pairs=validate_pairs,
-                                 key_columns=e.key_columns)
+        collapse = "strict" if validate_pairs else "full"
+        writers = [fragment_writer(d, collapse=collapse,
+                                   key_columns=e.key_columns)
                    for e, d in targets]
 
         def tag(batch: pa.Table) -> pa.Table:
@@ -1168,13 +1159,19 @@ class CdcEngine:
                 recode(t, i * n) for i, t in enumerate(prep(batch))
             ])
 
-        def write_group(group: pa.Table) -> pa.Table:
-            i = int(group[PART_COL][0].as_py()) // n
-            return writers[i](project(i, recode(group, -i * n)))
+        def write_range(rows: pa.Table) -> pa.Table:
+            target = rows[PART_COL].to_numpy(zero_copy_only=False) // n
+            out = [_MANIFEST_ROW_SCHEMA.empty_table()]
+            for i, w in enumerate(writers):
+                mine = target == i
+                if mine.any():
+                    t = rows if mine.all() else rows.filter(pa.array(mine))
+                    out.append(w(project(i, recode(t, -i * n))))
+            return pa.concat_tables(out)
 
         tagged = ds.map_batches(tag, batch_format="pyarrow",
                                 batch_size=batch_size)
-        return [row for t in task_exchange(tagged, n * len(targets), write_group)
+        return [row for t in task_exchange(tagged, n * len(targets), write_range)
                 for row in t.to_pylist()]
 
     def _commit(

@@ -98,11 +98,13 @@ def _grouping_codes(table: pa.Table, col: str) -> np.ndarray:
 
 
 def _key_position_order(
-    table: pa.Table, key_columns: tuple[str, ...]
+    table: pa.Table, key_columns: tuple[str, ...], cluster: str | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sort order by (*key_columns, commit_lsn, intent_lsn). Returns
-    (order, per-key-column grouping code arrays)."""
+    """Sort order by ([cluster,] *key_columns, commit_lsn, intent_lsn).
+    Returns (order, per-key-column grouping code arrays)."""
     keys = [_grouping_codes(table, c) for c in key_columns]
+    lead = ([] if cluster is None
+            else [table[cluster].to_numpy(zero_copy_only=False)])
     order = np.lexsort(
         (
             table["intent_lsn_lo"].to_numpy(zero_copy_only=False).astype(np.uint64),
@@ -110,6 +112,7 @@ def _key_position_order(
             table["commit_lsn_lo"].to_numpy(zero_copy_only=False).astype(np.uint64),
             table["commit_lsn_hi"].to_numpy(zero_copy_only=False).astype(np.uint64),
             *reversed(keys),
+            *lead,
         )
     )
     return order, keys
@@ -154,6 +157,7 @@ def lww_collapse(
     validate_pairs: bool = True,
     partial: bool = False,
     key_columns: tuple[str, ...] = KEY_COLUMNS,
+    cluster: str | None = None,
 ) -> pa.Table:
     """Collapse a changelog fragment to one winning row per key (default
     (conv_id, turn_idx); ``key_columns`` is the message-key-rewrite hook,
@@ -165,10 +169,12 @@ def lww_collapse(
     the reference exactly; without, only winning orphans are detectable:
     the documented fast-path tradeoff). ``partial=True`` marks a per-batch
     combiner pass, where a winning op-3 is legal — its op-4 partner may sit in
-    another batch and will dominate after the shuffle."""
+    another batch and will dominate after the shuffle. ``cluster`` (an int
+    column that is a function of the key) leads the sort, so the winners
+    come out clustered by it."""
     if table.num_rows == 0:
         return table
-    order, keys = _key_position_order(table, key_columns)
+    order, keys = _key_position_order(table, key_columns, cluster)
     s_keys = [k[order] for k in keys]
     op = table["op"].to_numpy(zero_copy_only=False)
     if validate_pairs:

@@ -52,9 +52,9 @@ def _per_partition_reads(partitions, files, fill) -> pa.Table:
 @pytest.fixture(scope="module")
 def shaped_files(tmp_path_factory):
     """Four file shapes over one tagged changelog of 8 partitions, each
-    holding a quarter of the rows: staged ``part=NNNNN/`` files, a fragment
-    whose row groups hold several partitions, a file without statistics
-    and a pre-ALTER file without the DEFAULT column ``note``."""
+    holding a quarter of the rows: per-partition ``part=NNNNN/`` files, a
+    fragment whose row groups hold several partitions, a file without
+    statistics and a pre-ALTER file without the DEFAULT column ``note``."""
     sc = generate_scenario(n_convs=40, turns_per_conv=4, n_commits=300, seed=5)
     log = tag_partitions(8)(sc.changelog)
     log = log.append_column("note", pa.array([f"n{i}" for i in range(log.num_rows)]))
@@ -68,7 +68,7 @@ def shaped_files(tmp_path_factory):
             by_part.setdefault(int(p), []).append(path)
 
     codes = quarters[0][PART_COL].to_numpy()
-    for p in np.unique(codes):  # the shuffle sink's layout (staged_writer)
+    for p in np.unique(codes):  # the former per-partition shuffle layout
         os.makedirs(d / f"part={p:05d}")
         path = str(d / f"part={p:05d}" / "part-0.parquet")
         pq.write_table(quarters[0].filter(pa.array(codes == p)), path)

@@ -216,16 +216,21 @@ def test_rerun_window_is_idempotent(ray_session, scenario, tmp_path):
 
 
 def test_compaction_preserves_state_and_prunes_files(ray_session, scenario, tmp_path):
+    from debezium_connector_db2_ray.metrics import read_amplification
     from debezium_connector_db2_ray.state.manifest import live_files
 
     sc, data_dir, expected = scenario
     out = str(tmp_path / "compact")
     eng, _ = run_replay(ray_session, sc, data_dir, out, 4, 3)
     n_before = len(live_files(out))
+    # every partition names the snapshot's file and one per window (each
+    # a fragment shared by the partitions of its reduce task)
+    assert read_amplification(out) == 4
     eng.compact()
     n_after = len(live_files(out))
     assert n_after <= 4  # one base file per partition
-    assert n_after < n_before
+    assert n_after <= n_before
+    assert read_amplification(out) == 1  # one file per partition left
     got = pa.Table.from_pandas(
         eng.state_dataset().to_pandas(), preserve_index=False
     ).select(expected.column_names)

@@ -96,9 +96,10 @@ def _crash_once(real, marker: str):
 def test_crashed_sink_task_is_retried_and_its_file_stays_invisible(
     ray_session, tmp_path, monkeypatch, case
 ):
-    """A writer of the Ray Data staging job kills its worker once, after
-    staging: Ray retries the task, every window commits, and the dead
-    attempt's file is named by no manifest."""
+    """The sink kernel of the Ray Data staging job kills its worker once,
+    after staging: Ray retries the task, every window commits, and the
+    dead attempt's file is named by no manifest. On the connector's shuffle
+    exchange the dead reduce task had staged one table's fragment."""
     import ray.data as rd
 
     from debezium_connector_db2_ray.connector import CdcConnector
@@ -118,8 +119,8 @@ def test_crashed_sink_task_is_retried_and_its_file_stays_invisible(
         conn.snapshot_all({t: rd.from_arrow(s.lake) for t, s in sc.items()},
                           snap)
         stream = rd.read_parquet(_shared_stream(d, sc))
-        monkeypatch.setattr(replay, "staged_writer",
-                            _crash_once(replay.staged_writer, marker))
+        monkeypatch.setattr(replay, "fragment_writer",
+                            _crash_once(replay.fragment_writer, marker))
         ms = conn.replay(stream, snap, hi, n, tables=sorted(sc))
         monkeypatch.undo()
         assert {t: len(m) for t, m in ms.items()} == {"TA": n, "TB": n}
@@ -204,7 +205,7 @@ def test_exchange_with_several_reduce_tasks_matches_one(
     """Three input blocks and a small ``batch_size`` give several tagged
     blocks, so the shuffle sink splits each into several reduce tasks. A
     snapshot and a strict 2-table connector window (each update's before
-    and after images in different blocks) still match the oracle, stage
+    and after images in different blocks) still match the oracle, name
     exactly one file per (table, partition), and commit the manifests of
     a one-block run, whose one reduce task takes the block unsplit."""
     import ray.data as rd
