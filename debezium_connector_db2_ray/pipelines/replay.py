@@ -175,7 +175,25 @@ def _lsn_range(table: pa.Table) -> tuple[str | None, str | None]:
             lsn_hex(int(hi), int(clo[chi == hi].max())))
 
 
-COLLAPSE_MODES = ("partial", "full", "strict", "none")
+#: Row-group sizing of a fragment: about one group per CPU of the cluster
+#: (a state read runs one merge unit per CPU), at least ``ROW_GROUP_MIN``
+#: and at most ``ROW_GROUP_MAX`` rows, each group ending at a partition
+#: boundary so a reader's ``__part`` stats skip the other units' groups.
+ROW_GROUP_MIN = 1_024
+ROW_GROUP_MAX = 16_384
+
+
+def _row_group_ends(starts: np.ndarray, n: int, cpus: int) -> list[int]:
+    """Ends of the row groups of a fragment of ``n`` rows clustered by
+    partition (``starts`` of its partition runs): each group runs to the
+    first partition boundary at least ``n / cpus`` rows (within
+    ``ROW_GROUP_MIN`` and ``ROW_GROUP_MAX``) past the previous end."""
+    floor = min(ROW_GROUP_MAX, max(ROW_GROUP_MIN, -(-n // cpus)))
+    ends = [0]
+    for e in starts[1:].tolist() + [n]:
+        if e - ends[-1] >= floor or e == n:
+            ends.append(e)
+    return ends[1:]
 
 
 def fragment_writer(delta_dir: str, *, collapse: str = "partial",
@@ -194,8 +212,7 @@ def fragment_writer(delta_dir: str, *, collapse: str = "partial",
     the shuffle exchange, once per table in each reduce task; "none" —
     rows already unique per key, only clustered: ``compact()``, once per
     merge unit."""
-    if collapse not in COLLAPSE_MODES:
-        raise ValueError(f"collapse must be one of {COLLAPSE_MODES}")
+    cpus = _cluster_cpus()
 
     def fn(batch: pa.Table) -> pa.Table:
         if collapse == "none":
@@ -215,9 +232,11 @@ def fragment_writer(delta_dir: str, *, collapse: str = "partial",
         counts = np.diff(np.r_[starts, len(parts)])
         os.makedirs(delta_dir, exist_ok=True)
         path = os.path.join(delta_dir, f"frag-{uuid.uuid4().hex}.parquet")
-        # row groups sized so one partition spans few groups (pruning works)
-        rg = max(16_384, batch.num_rows // len(starts))
-        pq.write_table(batch, path, row_group_size=rg, compression="zstd")
+        with pq.ParquetWriter(path, batch.schema, compression="zstd") as w:
+            begin = 0
+            for end in _row_group_ends(starts, len(parts), cpus):
+                w.write_table(batch.slice(begin, end - begin))
+                begin = end
         op = batch["op"].to_numpy(zero_copy_only=False)
         rows = []
         for s, c in zip(starts.tolist(), counts.tolist()):
@@ -251,15 +270,16 @@ def merge_units(live: dict[int, tuple[int, list[str]]], batch_size: int,
     """Pack consecutive live partitions ``{partition: (rows, files)}`` into
     merge-on-read units ``{"partitions": [p, ...], "files": [[f, ...], ...]}``
     of at most ``batch_size`` live rows (a larger partition is a unit of its
-    own), and into at least min(live partitions, ``cpus``) units, so a host
-    with a CPU per partition keeps one task per partition."""
+    own): min(live partitions, ``cpus``) units, each but the last filled to
+    an even share of the rows, and more only where ``batch_size`` needs
+    them. A host with a CPU per partition keeps one task per partition."""
     parts = sorted(live.items())
     need = min(len(parts), cpus)
-    cap = min(batch_size, -(-sum(r for r, _ in live.values()) // max(need, 1)))
+    even = max(1, -(-sum(r for r, _ in live.values()) // max(need, 1)))
     units: list[dict] = []
     rows = 0
     for i, (p, (r, files)) in enumerate(parts):
-        if (not units or rows + r > cap
+        if (not units or rows >= even or rows + r > batch_size
                 or len(parts) - i <= need - len(units)):
             units.append({"partitions": [], "files": []})
             rows = 0
@@ -1018,13 +1038,21 @@ class CdcEngine:
 
     # ---- reads ------------------------------------------------------------
 
-    def _merge_plan(self) -> tuple[list[dict], pa.Schema | None, dict]:
+    def _merge_plan(self, *, compacting: bool = False
+                    ) -> tuple[list[dict], pa.Schema | None, dict]:
         """What both merge-on-read callers need, each read once: the merge
         units (sized by ``batch_size`` and the cluster's CPUs), the latest
         payload schema from the durable history (None before any CREATE)
-        and the ``default_fill`` of its DEFAULT columns."""
-        units = merge_units(live_partitions(self.out_dir), self.batch_size,
-                            _cluster_cpus())
+        and the ``default_fill`` of its DEFAULT columns.
+
+        ``compacting``: each unit becomes one base fragment, so the units
+        are fewer than the live files unless ``batch_size`` needs more."""
+        live = live_partitions(self.out_dir)
+        cpus = _cluster_cpus()
+        if compacting:
+            files = {f for _, fs in live.values() for f in fs}
+            cpus = min(cpus, max(1, len(files) - 1))
+        units = merge_units(live, self.batch_size, cpus)
         bounds = self.schema_history.boundaries(self.table_name)
         if not bounds:
             return units, None, {}
@@ -1074,10 +1102,11 @@ class CdcEngine:
         further windows.
 
         One plain Ray task per merge unit (``_stage_task``, units as in
-        ``state_dataset``) folds the unit and writes its one
-        partition-clustered base fragment; the fold already collapsed the
-        rows, so the sink kernel only clusters them (collapse "none")."""
-        units, _, fill = self._merge_plan()
+        ``state_dataset`` but fewer than the live files) folds the unit
+        and writes its one partition-clustered base fragment; the fold
+        already collapsed the rows, so the sink kernel only clusters them
+        (collapse "none")."""
+        units, _, fill = self._merge_plan(compacting=True)
         tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
         keys = self.key_columns
 

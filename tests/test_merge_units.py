@@ -136,6 +136,10 @@ def test_merge_units_planning():
     assert len(merge_units(live, 400_000, cpus=16)) == 16
     assert len(merge_units(live, 400_000, cpus=64)) == 16
     assert len(merge_units(live, 400_000, cpus=4)) == 4
+    # no more units than CPUs where batch_size allows, even when the
+    # partitions do not split the rows evenly
+    assert len(merge_units(_live([10] * 4), 400_000, cpus=3)) == 3
+    assert len(merge_units(_live([10] * 4), 20, cpus=1)) == 2
     skewed = _live([1000, 1, 1, 1, 5, 300, 2, 2])
     for batch_size, cpus in [(250, 1), (300, 2), (10, 1), (2000, 3), (1, 1)]:
         units = merge_units(skewed, batch_size, cpus)

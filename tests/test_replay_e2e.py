@@ -229,7 +229,7 @@ def test_compaction_preserves_state_and_prunes_files(ray_session, scenario, tmp_
     eng.compact()
     n_after = len(live_files(out))
     assert n_after <= 4  # one base file per partition
-    assert n_after <= n_before
+    assert n_after < n_before
     assert read_amplification(out) == 1  # one file per partition left
     got = pa.Table.from_pandas(
         eng.state_dataset().to_pandas(), preserve_index=False

@@ -85,9 +85,26 @@ def test_kernel_sorts_once_and_clusters_by_part(tmp_path, monkeypatch,
     assert _by_key(got).equals(_by_key(want))
 
 
-def test_kernel_rejects_an_unknown_collapse_mode(tmp_path):
-    with pytest.raises(ValueError, match="collapse"):
-        fragment_writer(str(tmp_path), collapse="half")
+@pytest.mark.parametrize("cpus", [1, 4, 16])
+def test_row_groups_end_at_partition_boundaries(tmp_path, monkeypatch, cpus):
+    """A fragment gets about one row group per CPU of the cluster (a state
+    read runs one merge unit per CPU), none below ``ROW_GROUP_MIN`` rows
+    but the last, and no partition spans two groups, so a unit's
+    ``__part`` stats skip the groups of the other units."""
+    sc = generate_scenario(n_convs=1000, turns_per_conv=8, n_commits=10, seed=5)
+    tagged = tag_partitions(16)(snapshot_as_events(sc.lake, sc.snapshot_lsn))
+    monkeypatch.setattr(replay, "_cluster_cpus", lambda: cpus)
+    rows = fragment_writer(str(tmp_path), collapse="full")(tagged)
+    md = pq.ParquetFile(rows["file"][0].as_py()).metadata
+    col = md.schema.names.index(PART_COL)
+    stats = [md.row_group(g).column(col).statistics
+             for g in range(md.num_row_groups)]
+    assert all(a.max < b.min for a, b in zip(stats, stats[1:]))
+    sizes = [md.row_group(g).num_rows for g in range(md.num_row_groups)]
+    assert sum(sizes) == tagged.num_rows == 8000
+    floor = max(replay.ROW_GROUP_MIN, 8000 // cpus)
+    assert all(n >= floor for n in sizes[:-1])
+    assert 1 < len(sizes) <= cpus if cpus > 1 else len(sizes) == 1
 
 
 def _stream(sc: dict) -> pa.Table:
