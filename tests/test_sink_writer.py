@@ -104,7 +104,10 @@ def test_row_groups_end_at_partition_boundaries(tmp_path, monkeypatch, cpus):
     assert sum(sizes) == tagged.num_rows == 8000
     floor = max(replay.ROW_GROUP_MIN, 8000 // cpus)
     assert all(n >= floor for n in sizes[:-1])
-    assert 1 < len(sizes) <= cpus if cpus > 1 else len(sizes) == 1
+    if cpus == 1:
+        assert len(sizes) == 1
+    else:
+        assert 1 < len(sizes) <= cpus
 
 
 def _stream(sc: dict) -> pa.Table:
