@@ -22,10 +22,11 @@ SF_SMOKE = "/root/testdata/sf0.001"
 def entry() -> Any:
     """Flagship pipeline: durable snapshot-then-stream replay of the derived
     changelog at sf0.001 (windows, manifests, merge-on-read state)."""
-    import ray.data as rd
+    import pyarrow.dataset as pads
 
     from debezium_connector_db2_ray.lsn import Lsn
     from debezium_connector_db2_ray.pipelines.queries import (
+        _events,
         _max_event_id,
         derive_changelog,
     )
@@ -39,22 +40,15 @@ def entry() -> Any:
     try:
         fence_id = _max_event_id(SF_SMOKE) // 2
         fence = Lsn(0, fence_id)
-        import pyarrow.dataset as pads
-
-        cols = ["event_id", "user_id", "event_type", "props", "ts"]
-        head = rd.read_parquet(
-            f"{SF_SMOKE}/events.parquet", columns=cols,
-            filter=pads.field("event_id") <= fence_id,
-        ).map_batches(derive_changelog, batch_format="pyarrow")
+        head = _events(SF_SMOKE, pads.field("event_id") <= fence_id)
+        head = head.map_batches(derive_changelog, batch_format="pyarrow")
         lake = apply_dataset(head, num_partitions=8)
 
         eng = CdcEngine(out_dir=out_dir, num_partitions=8)
         eng.snapshot(lake, fence)
         max_lsn = Lsn(0, _max_event_id(SF_SMOKE))
-        tail = rd.read_parquet(
-            f"{SF_SMOKE}/events.parquet", columns=cols,
-            filter=pads.field("event_id") > fence_id,
-        ).map_batches(derive_changelog, batch_format="pyarrow")
+        tail = _events(SF_SMOKE, pads.field("event_id") > fence_id)
+        tail = tail.map_batches(derive_changelog, batch_format="pyarrow")
         for lo, hi in plan_windows(fence.increment(), max_lsn, 3):
             eng.replay_window(tail, lo, hi)
         # materialize the final state before deleting the staging dir
@@ -73,7 +67,8 @@ def entry() -> Any:
 #      smoke), then
 #   2. every query that has NEVER received a driver row, in registration
 #      order (oldest unchecked first), then
-#   3. the already-checked remainder.
+#   3. the already-checked remainder,
+# with rows that have no oracle_sql() twin last.
 # Each new round's artifact automatically rotates the next unchecked batch
 # onto the gate — no manual reordering (the round-3 verdict's item 1, made
 # permanent). Every entry, checked or not, stays green in the local
@@ -82,34 +77,6 @@ DRIVER_GATE_PINNED = [
     "cdc_apply_lww",
     "cdc_snapshot_then_stream",
     "cdc_classify_multifile",
-]
-
-# Checked in an earlier round but never hash-green (or parity companions of
-# rows-only entries): re-front these ahead of the unchecked rotation so the
-# round-3 fixes finally get a driver-green row (round-4 verdict, item 1).
-DRIVER_GATE_REFRONT = [
-    "tpch_pricing_summary",
-    "orders_revenue_join",
-    "dedup_simhash_parity",
-    "ann_ivf_parity",
-    "emb_near_dup_parity",
-]
-
-# Round-5 transcripts-axis flagships: registered last (so the plain
-# unchecked rotation would never reach them) but they ARE the tier's
-# theme — front them ahead of the generic unchecked backlog.
-DRIVER_GATE_THEME = [
-    "conv_first_last_role",
-    "conv_turn_gaps",
-    "conv_time_span",
-    "conv_sessionize",
-    "conv_role_char_share",
-    "conv_shared_turns",
-    "conv_role_bigrams",
-    "conv_longest_monologue",
-    "conv_render",
-    "conv_sft_pairs",
-    "conv_turn_length_hist",
 ]
 
 
@@ -136,35 +103,23 @@ def _driver_checked() -> set:
 def _oracle_keys() -> set:
     """Names that ship an oracle_sql() twin — those produce a full
     rows+schema+hash driver row; the rest produce a weaker rows-only row."""
+    from debezium_connector_db2_ray.functions.queries import DATA_ORACLES
     from debezium_connector_db2_ray.pipelines.queries import CDC_ORACLES
 
-    keys = set(CDC_ORACLES)
-    try:
-        from debezium_connector_db2_ray.functions.queries import DATA_ORACLES
-
-        keys.update(DATA_ORACLES)
-    except ImportError:
-        pass
-    return keys
+    return set(CDC_ORACLES) | set(DATA_ORACLES)
 
 
 def _ordered(merged: dict) -> dict:
     """Driver-window ordering (the gate checks the FIRST ~50 entries):
       1. pinned CDC flagships (re-checked every round),
-      2. previously-checked-but-never-green rows that have an oracle
-         (re-front fixed entries until they finally go green),
-      3. never-driver-checked rows WITH an oracle, registration order,
-      4. already-checked (green) remainder with an oracle,
-      5. no-oracle rows dead last — a slot spent on one yields a
+      2. never-driver-checked rows WITH an oracle, registration order,
+      3. already-checked remainder with an oracle,
+      4. no-oracle rows dead last — a slot spent on one yields a
          guaranteed `no_oracle` row, never a hash-green.
     """
     checked = _driver_checked()
     with_oracle = _oracle_keys()
     out = {k: merged[k] for k in DRIVER_GATE_PINNED if k in merged}
-    out.update(
-        (k, merged[k]) for k in DRIVER_GATE_REFRONT + DRIVER_GATE_THEME
-        if k in merged and k not in out
-    )
     out.update(
         (k, v) for k, v in merged.items()
         if k not in out and k not in checked and k in with_oracle
@@ -178,28 +133,14 @@ def _ordered(merged: dict) -> dict:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
+    from debezium_connector_db2_ray.functions.queries import DATA_QUERIES
     from debezium_connector_db2_ray.pipelines.queries import CDC_QUERIES
 
-    q: dict[str, Callable[[str], Any]] = {}
-    q.update(CDC_QUERIES)
-    try:
-        from debezium_connector_db2_ray.functions.queries import DATA_QUERIES
-
-        q.update(DATA_QUERIES)
-    except ImportError:
-        pass
-    return _ordered(q)
+    return _ordered({**CDC_QUERIES, **DATA_QUERIES})
 
 
 def oracle_sql() -> dict[str, str]:
+    from debezium_connector_db2_ray.functions.queries import DATA_ORACLES
     from debezium_connector_db2_ray.pipelines.queries import CDC_ORACLES
 
-    o: dict[str, str] = {}
-    o.update(CDC_ORACLES)
-    try:
-        from debezium_connector_db2_ray.functions.queries import DATA_ORACLES
-
-        o.update(DATA_ORACLES)
-    except ImportError:
-        pass
-    return _ordered(o)
+    return _ordered({**CDC_ORACLES, **DATA_ORACLES})

@@ -303,15 +303,14 @@ def run_gate_queries(timings: dict) -> None:
         build_ivf_index,
         ivf_indexed_topk,
     )
+    from debezium_connector_db2_ray.sources.files import sf_table
 
     idx = _ivf_index_dir(SF_DIR, 16)
     _sh.rmtree(idx, ignore_errors=True)
-    import ray.data as _rd
 
     t0 = time.perf_counter()
     build_ivf_index(
-        _rd.read_parquet(f"{SF_DIR}/embeddings.parquet"), idx, n_lists=16,
-        sample_size=2000,
+        sf_table(SF_DIR, "embeddings"), idx, n_lists=16, sample_size=2000,
     )
     timings["ann_ivf_index_build_sec"] = round(time.perf_counter() - t0, 3)
     qm = _query_matrix(SF_DIR)

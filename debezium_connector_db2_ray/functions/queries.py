@@ -17,19 +17,17 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from debezium_connector_db2_ray.sources.files import sf_table
+
 STOP_SQL = "('the','a','and','of','to')"  # mirrors functions.text.STOPWORDS
 
 
 def _docs(sf_dir: str, columns=None):
-    import ray.data as rd
-
-    return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+    return sf_table(sf_dir, "documents", columns)
 
 
 def _emb(sf_dir: str):
-    import ray.data as rd
-
-    return rd.read_parquet(f"{sf_dir}/embeddings.parquet")
+    return sf_table(sf_dir, "embeddings")
 
 
 # ---------------------------------------------------------------------------
@@ -751,13 +749,9 @@ FROM events GROUP BY 1, 2
 def q_tumbling_counts(sf_dir: str):
     """Tumbling-window aggregate (24h) per user: pre-aggregated per batch,
     tiny final groupby."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.streaming import tumbling_counts
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
-    )
+    ds = sf_table(sf_dir, "events", ["user_id", "ts", "value"])
     out = tumbling_counts(ds, width_hours=24)
 
     def rounder(t: pa.Table) -> pa.Table:
@@ -800,13 +794,9 @@ FROM sess GROUP BY 1, 2
 
 def q_sessionize(sf_dir: str):
     """Session windows per user (gap > 120 min cuts a session)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.streaming import sessionize
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id"]
-    )
+    ds = sf_table(sf_dir, "events", ["user_id", "ts", "event_id"])
     return sessionize(ds, gap_minutes=120)
 
 
@@ -952,21 +942,16 @@ def q_asof_join(sf_dir: str):
     same user at or before its timestamp (the streaming enrich-with-state
     shape Ray Data lacks natively; hash-partition + sorted-merge here,
     DuckDB ASOF JOIN as the oracle)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         asof_join,
         grouped_aggregate,
     )
 
-    left = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
+    left = sf_table(sf_dir, "events", ["event_id", "user_id", "ts"])
     # (user, ts) is HIGH-cardinality — grouped_aggregate, not native groupby
     right = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["event_id", "user_id", "ts", "event_type"],
+        sf_table(
+            sf_dir, "events", ["event_id", "user_id", "ts", "event_type"],
         ).filter(expr="event_type == 'purchase'"),
         keys=["user_id", "ts"],
         aggs={"pid": ("event_id", "max")},
@@ -1279,14 +1264,10 @@ def q_interval_join(sf_dir: str):
     (each row moves once), vectorized containment per partition. The
     interval side IS the sessionize output, so this also closes the loop
     from window derivation to event attribution."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import interval_join
     from debezium_connector_db2_ray.functions.streaming import sessionize
 
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
+    ev = sf_table(sf_dir, "events", ["event_id", "user_id", "ts"])
     sessions = sessionize(ev, gap_minutes=120)
     out = interval_join(
         ev, sessions, key="user_id", ts="ts", start="start_ts", end="end_ts",
@@ -1358,7 +1339,6 @@ def q_pricing_summary(sf_dir: str):
     groupby. All money math in scaled integers so sums are exact and
     order-independent on both engines (float sums aren't associative —
     cross-engine hash equality would be luck)."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1386,10 +1366,10 @@ def q_pricing_summary(sf_dir: str):
             g, preserve_index=False
         ).replace_schema_metadata(None)  # no unhashable pandas dict
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity",
-                 "l_extendedprice", "l_discount", "l_tax"],
+    ds = sf_table(
+        sf_dir, "lineitem",
+        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
+         "l_discount", "l_tax"],
     )
     return (
         ds.map_batches(partial, batch_format="pyarrow", batch_size=400_000)
@@ -1420,25 +1400,21 @@ def q_order_revenue(sf_dir: str):
     orders via the generic repartition_join (one sort exchange per side,
     partition-local Arrow hash join), then aggregates revenue per order
     priority — integer-exact like the pricing summary."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     from debezium_connector_db2_ray.functions.relational import (
         repartition_join,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
+    li = sf_table(
+        sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"],
     ).map_batches(
         lambda t: t.rename_columns(
             ["o_orderkey", "l_extendedprice", "l_discount"]
         ),
         batch_format="pyarrow",
     )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"]
-    )
+    orders = sf_table(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     j = repartition_join(li, orders, on="o_orderkey")
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1479,15 +1455,12 @@ def q_grouped_agg(sf_dir: str):
     arithmetic, so it is bit-exact as read from parquet. The mean divides
     the exact integer (sum, count) pair once in float64 — deterministic on
     both engines."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
 
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_quantity", "l_extendedprice"],
+    ds = sf_table(
+        sf_dir, "lineitem", ["l_orderkey", "l_quantity", "l_extendedprice"],
     ).map_batches(
         lambda t: t.set_column(
             t.column_names.index("l_quantity"), "l_quantity",
@@ -1526,16 +1499,11 @@ def q_grouped_distinct(sf_dir: str):
     """Exact per-group distinct count at high key cardinality (one group
     per order): suppliers per order via grouped_count_distinct — two
     stacked combiner exchanges, never a per-group UDF."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_count_distinct,
     )
 
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_suppkey"],
-    )
+    ds = sf_table(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
     return grouped_count_distinct(
         ds, keys=["l_orderkey"], col="l_suppkey", out_col="n_supp"
     )
@@ -1565,16 +1533,11 @@ def q_percentiles(sf_dir: str):
     kth-element selection (multi-pass histogram narrowing, no sort, no
     shuffle) — bit-exact vs DuckDB quantile_disc because the answer is an
     ELEMENT of the column, never arithmetic over it."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         exact_percentiles,
     )
 
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_extendedprice"],
-    )
+    ds = sf_table(sf_dir, "lineitem", ["l_extendedprice"])
     return exact_percentiles(
         ds, col="l_extendedprice", qs=[0.25, 0.5, 0.9, 0.99]
     )
@@ -1593,16 +1556,11 @@ def q_grouped_percentiles(sf_dir: str):
     """Per-user event-value percentiles (one group per user): a single
     hash exchange + partition-local vectorized selection — bit-exact
     because the result is an element of each group, never arithmetic."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_percentiles,
     )
 
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "value"],
-    )
+    ds = sf_table(sf_dir, "events", ["user_id", "value"])
     return grouped_percentiles(
         ds, keys=["user_id"], col="value", qs={"p50": 0.5, "p90": 0.9}
     )
@@ -1632,15 +1590,12 @@ def q_top_orders(sf_dir: str):
     (relational.top_n_per_group), never a per-group UDF. Deterministic
     tiebreak on o_orderkey makes the row set (and rank) cross-engine
     exact."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         top_n_per_group,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderkey", "o_totalprice"],
+    ds = sf_table(
+        sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"],
     )
     return top_n_per_group(
         ds, keys=["o_custkey"],
@@ -1665,16 +1620,11 @@ def q_lag_deltas(sf_dir: str):
     partition-local sort and vectorized adjacent difference
     (relational.grouped_lag_delta). The per-user event-cadence signal a
     transcript/behavior pipeline derives before sessionizing."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_lag_delta,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts"],
-    )
+    ds = sf_table(sf_dir, "events", ["event_id", "user_id", "ts"])
     out = grouped_lag_delta(
         ds, keys=["user_id"],
         order_by=[("ts", "ascending"), ("event_id", "ascending")],
@@ -1705,15 +1655,11 @@ def q_sliding_counts(sf_dir: str):
     the k-fold window expansion happens inside the per-batch partial
     (streaming.sliding_counts), so the exchange ships distinct
     (type, window) rows, never k x events."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.streaming import (
         sliding_counts,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
-    )
+    ds = sf_table(sf_dir, "events", ["event_type", "ts"])
     return sliding_counts(
         ds, key_col="event_type",
         width_hours=_SLIDE_W, stride_hours=_SLIDE_S,
@@ -1740,15 +1686,11 @@ def q_events_pivot(sf_dir: str):
     """PIVOT by conditional aggregation: per-user event counts spread into
     one column per event type — the indicator projection is a map, the
     fold is one combiner exchange (grouped_aggregate), integer-exact."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
+    ds = sf_table(sf_dir, "events", ["user_id", "event_type"])
 
     def indicators(batch: pa.Table) -> pa.Table:
         et = batch["event_type"]
@@ -1867,26 +1809,21 @@ def q_tpch_q3(sf_dir: str):
     every exchange self-sizes via derive_num_partitions."""
     import datetime as _dt
 
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
         repartition_join,
     )
 
     cutoff = _dt.datetime.fromisoformat(Q3_CUTOFF)
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment"],
+    cust = sf_table(
+        sf_dir, "customer", ["c_custkey", "c_mktsegment"],
     ).filter(expr=f"c_mktsegment == 'BUILDING'")
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"],
     )
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"],
+    li = sf_table(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     )
 
     def keep_orders(batch: pa.Table) -> pa.Table:
@@ -1969,16 +1906,11 @@ def q_rolling_sum(sf_dir: str):
     one hash exchange, then the whole partition computes from a single
     cumulative sum (relational.grouped_rolling_sum). Money in scaled
     integers so the frame sums are cross-engine exact."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_rolling_sum,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "value"],
-    )
+    ds = sf_table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
     def cents(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -2047,16 +1979,12 @@ def q_sample_per_group(sf_dir: str):
     unbiased 64-bit avalanche both engines compute bit-identically) and
     keep the first 5 — exactly 'ORDER BY hash LIMIT k per group', the
     scalable form of sampling k rows per key with no RNG state."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         mix64,
         top_n_per_group,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_id"]
-    )
+    ds = sf_table(sf_dir, "events", ["user_id", "event_id"])
 
     def hcol(batch: pa.Table) -> pa.Table:
         ids = batch["event_id"].to_numpy(zero_copy_only=False).astype(
@@ -2202,19 +2130,12 @@ def q_left_join(sf_dir: str):
     """LEFT OUTER repartition_join: orders against the BUILDING-only
     customer slice — unmatched orders keep their row with a NULL segment
     (partition-local Arrow left_outer join after one exchange per side)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         repartition_join,
     )
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-    )
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment"],
-    )
+    orders = sf_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    cust = sf_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
     def keep_building(batch: pa.Table) -> pa.Table:
         m = pc.fill_null(
@@ -2246,17 +2167,14 @@ def q_event_sequence(sf_dir: str):
     ordered string (turns -> conversation) — hash exchange + partition-
     local sort and a single vectorized binary_join per partition
     (relational.grouped_string_agg), never per-group concatenation."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
         grouped_string_agg,
         repartition_join,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "event_type"],
+    ds = sf_table(
+        sf_dir, "events", ["user_id", "event_id", "ts", "event_type"],
     )
     seq = grouped_string_agg(
         ds, keys=["user_id"],
@@ -2292,15 +2210,11 @@ def q_click_not_purchase(sf_dir: str):
     """Set difference (EXCEPT) without a dedicated operator: one combiner
     exchange of conditional counts per (user, day), then a filter —
     user-days with a click but no purchase."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
-    )
+    ds = sf_table(sf_dir, "events", ["user_id", "ts", "event_type"])
     day_us = np.int64(86_400_000_000)
 
     def flags(batch: pa.Table) -> pa.Table:
@@ -2356,13 +2270,11 @@ def q_value_histogram(sf_dir: str):
     """Binned value histogram (corpus profiling): bucket projection is a
     map, the fold one combiner exchange; identical IEEE floor/round on
     both engines, sums in integer cents."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
 
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
+    ds = sf_table(sf_dir, "events", ["value"])
 
     def project(batch: pa.Table) -> pa.Table:
         v = batch["value"]
@@ -2385,13 +2297,11 @@ def q_approx_distinct(sf_dir: str):
     answer that never moves values. Approximate by design (rows-only
     check); the error bound vs exact is pinned in pytest
     (test_hll_approx_count_distinct_error_bounds)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.sketch import (
         approx_count_distinct,
     )
 
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
+    ds = sf_table(sf_dir, "events", ["user_id"])
     return approx_count_distinct(ds, col="user_id", b=12)
 
 
@@ -2405,16 +2315,12 @@ def q_bcast_join(sf_dir: str):
     """Map-side dim enrichment: customer probed against the ray.put
     nation table (25 rows) — no exchange at all on the fact side; probe
     index built once per actor (relational.broadcast_join)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
     )
 
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    )
-    nat = rd.read_parquet(f"{sf_dir}/nation.parquet")
+    cust = sf_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    nat = sf_table(sf_dir, "nation")
     return broadcast_join(cust, nat, on="c_nationkey", right_on="n_nationkey")
 
 
@@ -2434,19 +2340,15 @@ def q_semi_join(sf_dir: str):
     order keys collapse to per-batch-distinct values worker-side, ship
     once via ray.put, and orders filters map-side — the big side never
     shuffles (relational.semi_join_filter)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         semi_join_filter,
     )
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_totalprice"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"],
     )
-    big = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_quantity", "l_discount"],
+    big = sf_table(
+        sf_dir, "lineitem", ["l_orderkey", "l_quantity", "l_discount"],
     ).filter(expr="l_quantity >= 50 and l_discount >= 0.09")
     return semi_join_filter(orders, big, on="o_orderkey", right_on="l_orderkey")
 
@@ -2467,15 +2369,12 @@ def q_rollup(sf_dir: str):
     grouped_aggregate exchange for the finest level, coarser levels and
     the grand total folded from the finest partials; gid carries the SQL
     GROUPING bitmask (relational.rollup_aggregate)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         rollup_aggregate,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity"],
+    ds = sf_table(
+        sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"],
     ).map_batches(
         lambda b: b.set_column(
             b.column_names.index("l_quantity"), "qty",
@@ -2507,14 +2406,12 @@ def q_unpivot(sf_dir: str):
     """Wide -> long melt of the four lineitem measures (first line of
     each order): pure map-side, id columns zero-copy, no exchange
     (relational.unpivot)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import unpivot
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_linenumber", "l_quantity",
-                 "l_extendedprice", "l_discount", "l_tax"],
+    ds = sf_table(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_linenumber", "l_quantity", "l_extendedprice",
+         "l_discount", "l_tax"],
     ).filter(expr="l_linenumber == 1")
     return unpivot(
         ds.map_batches(
@@ -2543,8 +2440,6 @@ def q_dense_rank(sf_dir: str):
     one hash exchange on user_id, partition-local sort + run-boundary
     cumsum kernel (relational.grouped_rank). Reference analog: per-key
     rowLsn ordering in the change-table scan."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import grouped_rank
 
     day_us = np.int64(86_400_000_000)
@@ -2558,8 +2453,8 @@ def q_dense_rank(sf_dir: str):
             "day", pa.array(ts // day_us)
         )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
+    ds = sf_table(
+        sf_dir, "events", ["event_id", "user_id", "ts"],
     ).map_batches(addday, batch_format="pyarrow")
     return grouped_rank(
         ds, keys=["user_id"], order_by=[("day", "ascending")],
@@ -2586,15 +2481,11 @@ def q_ntile(sf_dir: str):
     divmod tile assignment (relational.grouped_ntile). Reference analog:
     evenly splitting a key's change stream into equal batches
     (Db2StreamingChangeEventSource windowing in spirit)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_ntile,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id"]
-    )
+    ds = sf_table(sf_dir, "events", ["event_id", "user_id"])
     return grouped_ntile(
         ds, keys=["user_id"], order_by=[("event_id", "ascending")],
         n=4, out_col="nt",
@@ -2617,17 +2508,13 @@ def q_percent_rank(sf_dir: str):
     passes of the rank kernel sharing one exchange shape (tie runs share
     the statistic, so no unique tiebreak is needed); both statistics are
     one division of exact int64 counts -> bit-identical to DuckDB."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import grouped_rank
 
     base = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
         ("value", pa.float64()),
     ])
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "value"]
-    )
+    ds = sf_table(sf_dir, "events", ["event_id", "user_id", "value"])
     pr = grouped_rank(
         ds, keys=["user_id"], order_by=[("value", "ascending")],
         method="percent_rank", out_col="pr", schema=base,
@@ -2665,8 +2552,6 @@ def q_grouped_moments(sf_dir: str):
     bit-identical (no streaming Welford drift, no order dependence).
     Partitioning note: int64 sumsq bounds quantity^2 * rows per group;
     at 100 TB promote the partials to float64 or split counts."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -2679,8 +2564,8 @@ def q_grouped_moments(sf_dir: str):
             "q2": pc.multiply(q, q),
         })
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_returnflag", "l_quantity"]
+    ds = sf_table(
+        sf_dir, "lineitem", ["l_returnflag", "l_quantity"],
     ).map_batches(prep, batch_format="pyarrow")
     agg = grouped_aggregate(
         ds, keys=["l_returnflag"],
@@ -2721,16 +2606,12 @@ def q_top_event_type(sf_dir: str):
     smallest type): grouped_aggregate count over (user, type) — the
     high-cardinality combiner path — then top_n_per_group n=1 ordered by
     (count desc, type asc). Two bounded exchanges, no per-group UDF."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
         top_n_per_group,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
+    ds = sf_table(sf_dir, "events", ["user_id", "event_type"])
     counts = grouped_aggregate(
         ds, keys=["user_id", "event_type"],
         aggs={"n": ("event_type", "count_all")},
@@ -2773,18 +2654,16 @@ def q_full_join(sf_dir: str):
     one exchange per side + partition-local Arrow full-outer join with
     key coalescing (relational.repartition_join how=full_outer)."""
     import pyarrow.dataset as pads
-    import ray.data as rd
 
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_acctbal"],
+    cust = sf_table(
+        sf_dir, "customer", ["c_custkey", "c_acctbal"],
         filter=pads.field("c_acctbal") > 5000,
     ).map_batches(
         lambda b: b.rename_columns(["custkey", "c_acctbal"]),
         batch_format="pyarrow",
     )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderkey", "o_totalprice"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"],
         filter=pads.field("o_totalprice") > 150000,
     ).map_batches(
         lambda b: b.rename_columns(["custkey", "o_orderkey", "o_totalprice"]),
@@ -2808,8 +2687,6 @@ def q_click_and_purchase(sf_dir: str):
     """INTERSECT DISTINCT of two user sets (clickers ∩ purchasers) via
     relational.distinct_set_op: per-batch hash-distinct combiner with
     side flags, one exchange, presence-flag filter."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         distinct_set_op,
     )
@@ -2822,9 +2699,7 @@ def q_click_and_purchase(sf_dir: str):
 
         return fn
 
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
+    ev = sf_table(sf_dir, "events", ["user_id", "event_type"])
     clicks = ev.map_batches(pick("click"), batch_format="pyarrow")
     buys = ev.map_batches(pick("purchase"), batch_format="pyarrow")
     return distinct_set_op(
@@ -2851,7 +2726,6 @@ def q_q13_custdist(sf_dir: str):
     customer keys (null -> 0), then a second combiner exchange over the
     tiny c_count domain. Three bounded exchanges, no driver collection."""
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
@@ -2859,9 +2733,8 @@ def q_q13_custdist(sf_dir: str):
     )
 
     per_cust = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/orders.parquet",
-            columns=["o_custkey", "o_orderpriority"],
+        sf_table(
+            sf_dir, "orders", ["o_custkey", "o_orderpriority"],
             filter=pads.field("o_orderpriority") != "1-URGENT",
         ).map_batches(
             lambda b: b.select(["o_custkey"]).rename_columns(["custkey"]),
@@ -2870,9 +2743,7 @@ def q_q13_custdist(sf_dir: str):
         keys=["custkey"], aggs={"n": ("custkey", "count_all")},
         schema=pa.schema([("custkey", pa.int64())]),
     )
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey"]
-    ).map_batches(
+    cust = sf_table(sf_dir, "customer", ["c_custkey"]).map_batches(
         lambda b: b.rename_columns(["custkey"]), batch_format="pyarrow"
     )
     # per_cust has an exchange upstream: pass schemas so the join never
@@ -2931,7 +2802,6 @@ def q_tpch_q5(sf_dir: str, *, supplier_broadcast_bytes: int = 256 << 20):
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
     import ray
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
@@ -2980,17 +2850,19 @@ def q_tpch_q5(sf_dir: str, *, supplier_broadcast_bytes: int = 256 << 20):
             "c_nationkey": b["c_nationkey"].filter(pa.array(keep)),
         })
 
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
+    cust = sf_table(
+        sf_dir, "customer", ["c_custkey", "c_nationkey"],
     ).map_batches(cust_prep, batch_format="pyarrow")
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"],
         filter=(
             (pads.field("o_orderdate") >= np.datetime64("1996-01-01", "us"))
             & (pads.field("o_orderdate") < np.datetime64("1997-01-01", "us"))
         ),
     ).map_batches(
-        lambda b: b.rename_columns(["orderkey", "custkey"]),
+        lambda b: b.select(["o_orderkey", "o_custkey"]).rename_columns(
+            ["orderkey", "custkey"]
+        ),
         batch_format="pyarrow",
     )
     j1 = repartition_join(orders, cust, on="custkey", how="inner")
@@ -3007,9 +2879,9 @@ def q_tpch_q5(sf_dir: str, *, supplier_broadcast_bytes: int = 256 << 20):
             "rev_e4": rev,
         })
 
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
+    line = sf_table(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(line_prep, batch_format="pyarrow")
     j2 = repartition_join(
         line,
@@ -3055,8 +2927,8 @@ def q_tpch_q5(sf_dir: str, *, supplier_broadcast_bytes: int = 256 << 20):
         # over-budget supplier side: same algebra through a third
         # repartition_join (one exchange per side), then the local-supplier
         # predicate s_nationkey == c_nationkey map-side
-        sup_ds = rd.read_parquet(
-            sup_path, columns=["s_suppkey", "s_nationkey"]
+        sup_ds = sf_table(
+            sf_dir, "supplier", ["s_suppkey", "s_nationkey"]
         ).map_batches(
             lambda b: b.rename_columns(["l_suppkey", "s_nationkey"]),
             batch_format="pyarrow",
@@ -3091,17 +2963,15 @@ def q_cust_no_orders(sf_dir: str):
     searchsorted — no shuffle at all. NULL-key rows survive, matching
     NOT EXISTS (not NOT IN) semantics."""
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         semi_join_filter,
     )
 
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_acctbal"]
-    )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey"],
+    cust = sf_table(sf_dir, "customer", ["c_custkey", "c_acctbal"])
+    # semi_join_filter's first map keeps only the key column
+    orders = sf_table(
+        sf_dir, "orders", ["o_custkey", "o_orderpriority"],
         filter=pads.field("o_orderpriority") == "1-URGENT",
     )
     return semi_join_filter(
@@ -3184,17 +3054,12 @@ def q_first_last(sf_dir: str):
     """FIRST_VALUE/LAST_VALUE per user ordered by event_id (unique ->
     deterministic): one exchange, per-segment Arrow take
     (relational.grouped_first_last)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_first_last,
     )
 
     return grouped_first_last(
-        rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["event_id", "user_id", "value"],
-        ),
+        sf_table(sf_dir, "events", ["event_id", "user_id", "value"]),
         keys=["user_id"], order_by=[("event_id", "ascending")],
         value_col="value",
         schema=pa.schema([
@@ -3277,7 +3142,6 @@ def q_corr(sf_dir: str):
     single double-precision finish identical to the oracle's expression
     (IEEE ops over the same exact sums -> bit-identical). int64 bound:
     sum(y^2) ~ rows * 1e10; switch y to a coarser unit past ~1e8 rows."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
@@ -3298,9 +3162,8 @@ def q_corr(sf_dir: str):
             "sxy": pa.array([int((xn * yn).sum())], pa.int64()),
         })
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_quantity", "l_extendedprice"],
+    ds = sf_table(
+        sf_dir, "lineitem", ["l_quantity", "l_extendedprice"],
     ).map_batches(partial, batch_format="pyarrow")
     a = ds.aggregate(*(Sum(c, alias_name=c)
                        for c in ("n", "sx", "sy", "sxx", "syy", "sxy")))
@@ -3339,8 +3202,6 @@ def q_cohort_retention(sf_dir: str):
     tiny exchange), repartition join back on user_id, then a final
     combiner exchange over the small (cohort, age) domain. Every stage is
     partial-aggregated before it ships."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
         repartition_join,
@@ -3359,8 +3220,8 @@ def q_cohort_retention(sf_dir: str):
         })
 
     ud = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
+        sf_table(
+            sf_dir, "events", ["user_id", "ts"],
         ).map_batches(userday, batch_format="pyarrow"),
         keys=["user_id", "day"], aggs={"n": ("day", "count_all")},
         schema=pa.schema([("user_id", pa.int64()), ("day", pa.int64())]),
@@ -3888,8 +3749,6 @@ def q_events_late_filter(sf_dir: str):
     than 6h behind their key's watermark drop — the event-time late-data
     contract a streaming ingest needs before windowed aggregation. One hash
     exchange on user_id; per-partition vectorized segment cummax."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.streaming import (
         late_event_filter,
     )
@@ -3904,8 +3763,8 @@ def q_events_late_filter(sf_dir: str):
             "t_us": pa.array(t_us, pa.int64()),
         })
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
+    ds = sf_table(
+        sf_dir, "events", ["event_id", "user_id", "ts"],
     ).map_batches(shift, batch_format="pyarrow")
     return late_event_filter(
         ds, key_col="user_id", order_col="event_id", ts_col="t_us",
@@ -4038,8 +3897,6 @@ def q_lineitem_cube(sf_dir: str):
     exchange — the finest aggregate is computed distributed once and every
     coarser set folds it locally (reference has no multi-level aggregate;
     this extends the engine's SQL family alongside ROLLUP)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         cube_aggregate,
     )
@@ -4051,9 +3908,8 @@ def q_lineitem_cube(sf_dir: str):
             "q": pc.cast(b["l_quantity"], pa.int64()),
         })
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity"],
+    ds = sf_table(
+        sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"],
     ).map_batches(prep, batch_format="pyarrow")
     return cube_aggregate(
         ds, keys=["l_returnflag", "l_linestatus"],
@@ -4088,8 +3944,6 @@ def q_events_range_rolling(sf_dir: str):
     the time-window rolling aggregate — one user_id exchange, then every
     frame boundary from two vectorized searchsorted calls over a
     segment-composed monotone surrogate (no per-row/per-group loops)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_rolling_range_sum,
     )
@@ -4105,9 +3959,8 @@ def q_events_range_rolling(sf_dir: str):
             ),
         })
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "value"],
+    ds = sf_table(
+        sf_dir, "events", ["event_id", "user_id", "ts", "value"],
     ).map_batches(prep, batch_format="pyarrow")
     return grouped_rolling_range_sum(
         ds, keys=["user_id"], order_col="t_us", col="cents",
@@ -4201,16 +4054,13 @@ def q_orders_semi_bloom(sf_dir: str):
     """Semi join through sketch.bloom_semi_join: two-level OR-folded
     bitmap build (driver holds <= fold_groups blobs), map-side bloom
     prune, exact verify only on the surviving ~hit fraction."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.sketch import bloom_semi_join
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_totalprice"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"],
     )
-    big = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"],
+    big = sf_table(
+        sf_dir, "lineitem", ["l_orderkey", "l_quantity"],
     ).filter(expr="l_quantity >= 45")
     return bloom_semi_join(orders, big, on="o_orderkey",
                            right_on="l_orderkey", m_bits=1 << 20)
@@ -4294,8 +4144,6 @@ def q_skew_kurt(sf_dir: str):
     """Grouped population skewness + excess kurtosis from exact int64
     power-sum partials: one tiny combiner exchange, one double finish
     identical to the oracle's expression tree (bit-equal floats)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -4308,8 +4156,8 @@ def q_skew_kurt(sf_dir: str):
             "q3": pc.multiply(q2, q), "q4": pc.multiply(q2, q2),
         })
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_returnflag", "l_quantity"]
+    ds = sf_table(
+        sf_dir, "lineitem", ["l_returnflag", "l_quantity"],
     ).map_batches(prep, batch_format="pyarrow")
     agg = grouped_aggregate(
         ds, keys=["l_returnflag"],
@@ -4496,7 +4344,6 @@ def q_tpch_q6(sf_dir: str):
     import datetime as _dt
 
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
@@ -4504,10 +4351,9 @@ def q_tpch_q6(sf_dir: str):
 
     lo = _dt.datetime(1997, 1, 1)
     hi = _dt.datetime(1998, 1, 1)
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_extendedprice", "l_discount", "l_quantity",
-                 "l_shipdate"],
+    li = sf_table(
+        sf_dir, "lineitem",
+        ["l_extendedprice", "l_discount", "l_quantity", "l_shipdate"],
         filter=(pads.field("l_shipdate") >= lo)
         & (pads.field("l_shipdate") < hi),
     )
@@ -4575,20 +4421,14 @@ def q_tpch_q4(sf_dir: str):
     single exchange), one repartition_join to orders, a map-side lateness
     filter, and a tiny per-priority count. No row of lineitem crosses the
     wire more than once, and only one partial row per (batch, order)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
         repartition_join,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_shipdate"],
-    )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
+    li = sf_table(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
+    orders = sf_table(
+        sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"],
     )
     max_ship = grouped_aggregate(
         li.map_batches(
@@ -4667,7 +4507,6 @@ def q_tpch_q10(sf_dir: str):
     dimension sides ship to the data, the fact side never reshuffles);
     global_top_k keeps O(k) per batch instead of a full sort."""
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
@@ -4676,14 +4515,13 @@ def q_tpch_q10(sf_dir: str):
         repartition_join,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_returnflag"],
+    li = sf_table(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
         filter=pads.field("l_returnflag") == "R",
     )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_orderkey", "o_custkey"],
     ).map_batches(
         lambda t: pa.table({"l_orderkey": t["o_orderkey"],
                             "c_custkey": t["o_custkey"]}),
@@ -4718,13 +4556,8 @@ def q_tpch_q10(sf_dir: str):
             ("rev_e4", pa.int64()),
         ]),
     )
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_name", "c_nationkey"],
-    )
-    nat = rd.read_parquet(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"],
-    )
+    cust = sf_table(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
+    nat = sf_table(sf_dir, "nation", ["n_nationkey", "n_name"])
     enriched = broadcast_join(
         broadcast_join(per_cust, cust, on="c_custkey"),
         nat, on="c_nationkey", right_on="n_nationkey",
@@ -4772,7 +4605,6 @@ def q_tpch_q14(sf_dir: str):
     import datetime as _dt
 
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
@@ -4781,16 +4613,13 @@ def q_tpch_q14(sf_dir: str):
 
     lo = _dt.datetime(1997, 9, 1)
     hi = _dt.datetime(1997, 10, 1)
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"],
+    li = sf_table(
+        sf_dir, "lineitem",
+        ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
         filter=(pads.field("l_shipdate") >= lo)
         & (pads.field("l_shipdate") < hi),
     )
-    part = rd.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"],
-    )
+    part = sf_table(sf_dir, "part", ["p_partkey", "p_type"])
     j = broadcast_join(li, part, on="l_partkey", right_on="p_partkey")
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -4860,17 +4689,12 @@ def q_tpch_q18(sf_dir: str):
     header. The aggregate-then-semi-join-back shape from the reference's
     transaction-boundary grouping (BEGIN/END counts per tx, A3), lifted to
     the relational family."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
         repartition_join,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_quantity"],
-    )
+    li = sf_table(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
     qty = grouped_aggregate(
         li.map_batches(
             lambda t: pa.table({
@@ -4886,9 +4710,8 @@ def q_tpch_q18(sf_dir: str):
             ("sum_qty", pa.int64()),
         ]),
     ).filter(expr=f"sum_qty > {Q18_MIN_QTY}")
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_totalprice"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"],
     ).map_batches(
         lambda t: pa.table({
             "o_orderkey": t["o_orderkey"],
@@ -5059,14 +4882,6 @@ WHERE list_cosine_similarity(ea.embedding, eb.embedding)
 )
 
 
-def _emb_cols(sf_dir: str):
-    import ray.data as rd
-
-    return rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
-    )
-
-
 def q_emb_kmeans(sf_dir: str):
     """Distributed k-means assignments: full-corpus Lloyd iterations where
     each batch ships only k partial (sum, count) rows per pass
@@ -5079,7 +4894,7 @@ def q_emb_kmeans(sf_dir: str):
         kmeans_fit,
     )
 
-    ds = _emb_cols(sf_dir)
+    ds = sf_table(sf_dir, "embeddings", ["vec_id", "embedding"])
     cent = kmeans_fit(ds, k=KMEANS_K, iters=KMEANS_ITERS)
     return kmeans_assign(ds, ray.put(cent))
 
@@ -5101,7 +4916,7 @@ def q_emb_semantic_dedup(sf_dir: str):
         semantic_dedup_drops,
     )
 
-    ds = _emb_cols(sf_dir)
+    ds = sf_table(sf_dir, "embeddings", ["vec_id", "embedding"])
     cent = kmeans_fit(ds, k=KMEANS_K, iters=KMEANS_ITERS)
     return semantic_dedup_drops(
         ds, ray.put(cent), threshold=SEMDEDUP_TAU,
@@ -5133,8 +4948,6 @@ def q_emb_label_centroids(sf_dir: str):
     floor(1e6 x) so the gate hash is float-free. The label-conditional
     statistics stage of curation pipelines (class prototypes, per-domain
     embedding drift) — at 100 TB only labels x d x n_batches rows move."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -5142,9 +4955,7 @@ def q_emb_label_centroids(sf_dir: str):
         _batch_matrix,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"],
-    )
+    ds = sf_table(sf_dir, "embeddings", ["label", "embedding"])
 
     def partial(batch: pa.Table) -> pa.Table:
         m = _batch_matrix(batch)
@@ -5286,16 +5097,12 @@ def q_pagerank(sf_dir: str):
     (distinct lineitem pairs, both directions, disjoint node encoding
     2k / 2k+1): relational.pagerank runs the two-exchange-per-iteration
     dataflow; output quantized to floor(r * 1e9) for a float-free hash."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
         pagerank,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"],
-    )
+    li = sf_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
 
     def both_dirs(t: pa.Table) -> pa.Table:
         p = pc.add(pc.multiply(t["l_partkey"], 2), 0).cast(pa.int64())
@@ -5349,13 +5156,9 @@ def q_edit_distance_pairs(sf_dir: str):
     scale; the DuckDB oracle brute-forces the same predicate with its
     levenshtein() kernel (length-diff prefilter is semantics-preserving:
     ed <= 1 implies |len diff| <= 1)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.dedup import edit_distance_pairs
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"],
-    )
+    ds = sf_table(sf_dir, "customer", ["c_custkey", "c_name"])
     return edit_distance_pairs(ds, col="c_name", id_col="c_custkey")
 
 
@@ -5400,7 +5203,6 @@ def q_tpch_q7(sf_dir: str):
     import datetime as _dt
 
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
@@ -5408,16 +5210,16 @@ def q_tpch_q7(sf_dir: str):
         repartition_join,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                 "l_discount", "l_shipdate"],
+    li = sf_table(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount",
+         "l_shipdate"],
         filter=(
             (pads.field("l_shipdate") >= _dt.datetime(1996, 1, 1))
             & (pads.field("l_shipdate") < _dt.datetime(1998, 1, 1))
         ),
     )
-    nat = rd.read_parquet(f"{sf_dir}/nation.parquet")
+    nat = sf_table(sf_dir, "nation")
     keys = {
         r["n_name"]: int(r["n_nationkey"])
         for r in nat.take_all()
@@ -5425,8 +5227,8 @@ def q_tpch_q7(sf_dir: str):
     }
     k1, k2 = keys["NATION_12"], keys["NATION_10"]
 
-    sup = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"],
+    sup = sf_table(
+        sf_dir, "supplier", ["s_suppkey", "s_nationkey"],
     ).map_batches(
         lambda t: pa.table({
             "l_suppkey": t["s_suppkey"],
@@ -5453,8 +5255,8 @@ def q_tpch_q7(sf_dir: str):
         li.map_batches(rev, batch_format="pyarrow"), sup, on="l_suppkey",
     )
 
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"],
+    cust = sf_table(
+        sf_dir, "customer", ["c_custkey", "c_nationkey"],
     ).map_batches(
         lambda t: pa.table({
             "c_custkey": t["c_custkey"],
@@ -5471,8 +5273,8 @@ def q_tpch_q7(sf_dir: str):
     # (round-4 verdict item 3).
     from debezium_connector_db2_ray.functions.sketch import bloom_prefilter
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_orderkey", "o_custkey"],
     ).map_batches(
         lambda t: pa.table({"l_orderkey": t["o_orderkey"],
                             "c_custkey": t["o_custkey"]}),
@@ -5588,7 +5390,6 @@ def q_tpch_q8(sf_dir: str):
     import datetime as _dt
 
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
@@ -5596,10 +5397,10 @@ def q_tpch_q8(sf_dir: str):
         repartition_join,
     )
 
-    nat = rd.read_parquet(f"{sf_dir}/nation.parquet").take_all()
+    nat = sf_table(sf_dir, "nation").take_all()
     reg = {
         r["r_regionkey"]: r["r_name"]
-        for r in rd.read_parquet(f"{sf_dir}/region.parquet").take_all()
+        for r in sf_table(sf_dir, "region").take_all()
     }
     region_nks = sorted(
         int(n["n_nationkey"]) for n in nat
@@ -5609,20 +5410,20 @@ def q_tpch_q8(sf_dir: str):
         int(n["n_nationkey"]) for n in nat if n["n_name"] == "NATION_12"
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_partkey", "l_suppkey",
-                 "l_extendedprice", "l_discount"],
+    li = sf_table(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice",
+         "l_discount"],
     )
-    promo = rd.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"],
+    promo = sf_table(
+        sf_dir, "part", ["p_partkey", "p_type"],
         filter=pads.field("p_type") == "PROMO",
     ).map_batches(
         lambda t: pa.table({"l_partkey": t["p_partkey"]}),
         batch_format="pyarrow",
     )
-    sup = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"],
+    sup = sf_table(
+        sf_dir, "supplier", ["s_suppkey", "s_nationkey"],
     ).map_batches(
         lambda t: pa.table({
             "l_suppkey": t["s_suppkey"],
@@ -5651,9 +5452,8 @@ def q_tpch_q8(sf_dir: str):
     ).map_batches(rev, batch_format="pyarrow")
 
     lo, hi = _dt.datetime(1996, 1, 1), _dt.datetime(1998, 1, 1)
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"],
         filter=(pads.field("o_orderdate") >= lo)
         & (pads.field("o_orderdate") < hi),
     ).map_batches(
@@ -5665,8 +5465,8 @@ def q_tpch_q8(sf_dir: str):
         batch_format="pyarrow",
     )
     in_region = ", ".join(str(k) for k in region_nks)
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"],
+    cust = sf_table(
+        sf_dir, "customer", ["c_custkey", "c_nationkey"],
     ).map_batches(
         lambda t: pa.table({
             "c_custkey": t["c_custkey"],
@@ -5766,7 +5566,6 @@ def q_tpch_q15(sf_dir: str):
     import datetime as _dt
 
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
@@ -5774,10 +5573,9 @@ def q_tpch_q15(sf_dir: str):
     )
 
     lo, hi = _dt.datetime(1997, 1, 1), _dt.datetime(1997, 4, 1)
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_suppkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"],
+    li = sf_table(
+        sf_dir, "lineitem",
+        ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
         filter=(pads.field("l_shipdate") >= lo)
         & (pads.field("l_shipdate") < hi),
     )
@@ -5809,9 +5607,7 @@ def q_tpch_q15(sf_dir: str):
     ).materialize()
     best = per_supp.max("total_rev_e4")
     top = per_supp.filter(expr=f"total_rev_e4 == {int(best)}")
-    sup = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"],
-    )
+    sup = sf_table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     return broadcast_join(
         top, sup, on="l_suppkey", right_on="s_suppkey",
     ).map_batches(
@@ -5855,7 +5651,6 @@ def q_tpch_q17(sf_dir: str):
     sum_of_q-cents, no float division on either side); the brand/size
     part filter broadcasts and the probe doubles as the filter."""
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
@@ -5863,13 +5658,11 @@ def q_tpch_q17(sf_dir: str):
         repartition_join,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_quantity", "l_extendedprice"],
+    li = sf_table(
+        sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"],
     )
-    dim = rd.read_parquet(
-        f"{sf_dir}/part.parquet",
-        columns=["p_partkey", "p_brand", "p_size"],
+    dim = sf_table(
+        sf_dir, "part", ["p_partkey", "p_brand", "p_size"],
         filter=(pads.field("p_brand") == "Brand#11")
         & (pads.field("p_size") < 10),
     ).map_batches(
@@ -5978,17 +5771,14 @@ def q_tpch_q22(sf_dir: str):
     (orders collapses to per-batch distinct custkeys before the collect,
     the customer side never shuffles); the nation name broadcasts onto
     the tiny per-nation aggregate."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
         grouped_aggregate,
         semi_join_filter,
     )
 
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_nationkey", "c_acctbal"],
+    cust = sf_table(
+        sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"],
     ).map_batches(
         lambda t: pa.table({
             "c_custkey": t["c_custkey"],
@@ -6027,8 +5817,8 @@ def q_tpch_q22(sf_dir: str):
 
     import pyarrow.dataset as pads
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_custkey", "o_orderdate"],
         filter=pads.field("o_orderdate") >= _dt.datetime(2000, 1, 1),
     )
     no_orders = semi_join_filter(
@@ -6041,9 +5831,7 @@ def q_tpch_q22(sf_dir: str):
               "totacctbal_e2": ("bal_e2", "sum")},
         schema=pa.schema([("c_nk", pa.int64()), ("bal_e2", pa.int64())]),
     )
-    nat = rd.read_parquet(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"],
-    ).map_batches(
+    nat = sf_table(sf_dir, "nation", ["n_nationkey", "n_name"]).map_batches(
         lambda t: pa.table({
             "c_nk": t["n_nationkey"].cast(pa.int64()),
             "n_name": t["n_name"],
@@ -6079,20 +5867,16 @@ def q_tpch_q12(sf_dir: str):
     pushed to either read); the predicate and the two conditional counts
     fold per batch into (linestatus, high, low) partials so the final
     exchange moves O(distinct linestatus) rows."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
         repartition_join,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_linestatus", "l_shipdate"],
+    li = sf_table(
+        sf_dir, "lineitem", ["l_orderkey", "l_linestatus", "l_shipdate"],
     )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"],
     ).map_batches(
         lambda t: pa.table({
             "l_orderkey": t["o_orderkey"],
@@ -6169,17 +5953,15 @@ def q_tpch_q19(sf_dir: str):
     evaluates vectorized per batch, and the query is exchange-free: one
     broadcast, one 1-row aggregate."""
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
         grouped_aggregate,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_quantity", "l_extendedprice",
-                 "l_discount"],
+    li = sf_table(
+        sf_dir, "lineitem",
+        ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
     )
     env = (
         ((pads.field("p_brand") == "Brand#11")
@@ -6189,9 +5971,8 @@ def q_tpch_q19(sf_dir: str):
         | ((pads.field("p_brand") == "Brand#13")
            & (pads.field("p_size") >= 1) & (pads.field("p_size") <= 15))
     )
-    part = rd.read_parquet(
-        f"{sf_dir}/part.parquet",
-        columns=["p_partkey", "p_brand", "p_size"],
+    part = sf_table(
+        sf_dir, "part", ["p_partkey", "p_brand", "p_size"],
         filter=env,
     )
     j = broadcast_join(li, part, on="l_partkey", right_on="p_partkey")
@@ -6268,8 +6049,6 @@ def q_tpch_q21(sf_dir: str):
     ~25x slower here); the per-supplier count is a third exchange over
     O(qualifying orders) rows; names broadcast; global_top_k avoids a full
     sort."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _window_exchange,
         broadcast_join,
@@ -6278,13 +6057,11 @@ def q_tpch_q21(sf_dir: str):
         repartition_join,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_suppkey", "l_returnflag"],
+    li = sf_table(
+        sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_returnflag"],
     )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderstatus"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_orderkey", "o_orderstatus"],
     ).filter(expr="o_orderstatus == 'F'").map_batches(
         lambda t: pa.table({"l_orderkey": t["o_orderkey"]}),
         batch_format="pyarrow",
@@ -6337,9 +6114,7 @@ def q_tpch_q21(sf_dir: str):
         aggs={"numwait": ("one", "sum")},
         schema=pa.schema([("rsupp", pa.int64()), ("one", pa.int64())]),
     )
-    sup = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"],
-    )
+    sup = sf_table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     named = broadcast_join(
         counts, sup, on="rsupp", right_on="s_suppkey",
     ).select_columns(["s_name", "numwait"])
@@ -6382,21 +6157,18 @@ def q_tpch_q9(sf_dir: str):
     supplier ships its nationkey), profit folds per batch into
     (nation, year) partials, and the only exchange is the final
     O(nations x years) aggregate; names broadcast onto that."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
         grouped_aggregate,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_quantity",
-                 "l_extendedprice", "l_discount", "l_shipdate"],
+    li = sf_table(
+        sf_dir, "lineitem",
+        ["l_partkey", "l_suppkey", "l_quantity", "l_extendedprice",
+         "l_discount", "l_shipdate"],
     )
-    part = rd.read_parquet(
-        f"{sf_dir}/part.parquet",
-        columns=["p_partkey", "p_name", "p_retailprice"],
+    part = sf_table(
+        sf_dir, "part", ["p_partkey", "p_name", "p_retailprice"],
     ).map_batches(
         lambda t: t.filter(pc.match_substring(t["p_name"], "widget")),
         batch_format="pyarrow",
@@ -6409,8 +6181,8 @@ def q_tpch_q9(sf_dir: str):
         }),
         batch_format="pyarrow",
     )
-    sup = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"],
+    sup = sf_table(
+        sf_dir, "supplier", ["s_suppkey", "s_nationkey"],
     ).map_batches(
         lambda t: pa.table({
             "l_suppkey": t["s_suppkey"],
@@ -6458,9 +6230,7 @@ def q_tpch_q9(sf_dir: str):
             ("p", pa.int64()),
         ]),
     )
-    nat = rd.read_parquet(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"],
-    ).map_batches(
+    nat = sf_table(sf_dir, "nation", ["n_nationkey", "n_name"]).map_batches(
         lambda t: pa.table({
             "s_nk": t["n_nationkey"].cast(pa.int64()),
             "nation": t["n_name"],
@@ -6509,7 +6279,6 @@ def q_tpch_q2(sf_dir: str):
     dimension filters broadcast; top-100 via the O(k) heap, no full
     sort."""
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
@@ -6518,10 +6287,10 @@ def q_tpch_q2(sf_dir: str):
         repartition_join,
     )
 
-    nat = rd.read_parquet(f"{sf_dir}/nation.parquet").take_all()
+    nat = sf_table(sf_dir, "nation").take_all()
     reg = {
         r["r_regionkey"]: r["r_name"]
-        for r in rd.read_parquet(f"{sf_dir}/region.parquet").take_all()
+        for r in sf_table(sf_dir, "region").take_all()
     }
     region_nks = [
         int(n["n_nationkey"]) for n in nat
@@ -6529,19 +6298,18 @@ def q_tpch_q2(sf_dir: str):
     ]
     in_region = ", ".join(str(k) for k in region_nks)
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_extendedprice"],
+    li = sf_table(
+        sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice"],
     )
-    dim = rd.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"],
+    dim = sf_table(
+        sf_dir, "part", ["p_partkey", "p_type"],
         filter=pads.field("p_type") == "LARGE",
     ).map_batches(
         lambda t: pa.table({"l_partkey": t["p_partkey"]}),
         batch_format="pyarrow",
     )
-    sup = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"],
+    sup = sf_table(
+        sf_dir, "supplier", ["s_suppkey", "s_nationkey"],
     ).map_batches(
         lambda t: pa.table({
             "l_suppkey": t["s_suppkey"],
@@ -6640,8 +6408,6 @@ def q_tpch_q11(sf_dir: str):
     MATERIALIZE (bounded by part cardinality) so the global total and the
     threshold filter reuse the same blocks; the fraction compare is
     integer-exact (value >= total//200 + 1 == value*200 > total)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
         grouped_aggregate,
@@ -6649,16 +6415,15 @@ def q_tpch_q11(sf_dir: str):
 
     target_nk = next(
         int(n["n_nationkey"])
-        for n in rd.read_parquet(f"{sf_dir}/nation.parquet").take_all()
+        for n in sf_table(sf_dir, "nation").take_all()
         if n["n_name"] == "NATION_12"
     )
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_extendedprice",
-                 "l_discount"],
+    li = sf_table(
+        sf_dir, "lineitem",
+        ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
     )
-    sup = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"],
+    sup = sf_table(
+        sf_dir, "supplier", ["s_suppkey", "s_nationkey"],
     ).map_batches(
         lambda t: pa.table({
             "l_suppkey": t["s_suppkey"],
@@ -6724,19 +6489,15 @@ def q_tpch_q16(sf_dir: str):
     size) — per-batch combiners bound both exchanges by touched-tuple
     counts, never raw rows."""
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
         grouped_count_distinct,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"],
-    )
-    part = rd.read_parquet(
-        f"{sf_dir}/part.parquet",
-        columns=["p_partkey", "p_brand", "p_type", "p_size"],
+    li = sf_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
+    part = sf_table(
+        sf_dir, "part", ["p_partkey", "p_brand", "p_type", "p_size"],
         filter=pads.field("p_brand") != "Brand#13",
     ).map_batches(
         lambda t: pa.table({
@@ -6747,8 +6508,8 @@ def q_tpch_q16(sf_dir: str):
         }),
         batch_format="pyarrow",
     )
-    sup = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_acctbal"],
+    sup = sf_table(
+        sf_dir, "supplier", ["s_suppkey", "s_acctbal"],
         filter=pads.field("s_acctbal") >= 0,
     ).map_batches(
         lambda t: pa.table({"l_suppkey": t["s_suppkey"]}),
@@ -6801,7 +6562,6 @@ def q_tpch_q20(sf_dir: str):
     import datetime as _dt
 
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
@@ -6809,15 +6569,13 @@ def q_tpch_q20(sf_dir: str):
     )
 
     lo, hi = _dt.datetime(1997, 1, 1), _dt.datetime(1998, 1, 1)
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
+    li = sf_table(
+        sf_dir, "lineitem",
+        ["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
         filter=(pads.field("l_shipdate") >= lo)
         & (pads.field("l_shipdate") < hi),
     )
-    dim = rd.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name"],
-    ).map_batches(
+    dim = sf_table(sf_dir, "part", ["p_partkey", "p_name"]).map_batches(
         lambda t: pa.table({
             "l_partkey": t.filter(
                 pc.match_substring(t["p_name"], "widget")
@@ -6843,11 +6601,8 @@ def q_tpch_q20(sf_dir: str):
     ).materialize()
     mx = int(per_supp.max("qty_e2"))
     big = per_supp.filter(expr=f"qty_e2 >= {mx // 2 + 1}")
-    sup = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet",
-        columns=["s_suppkey", "s_name", "s_nationkey"],
-    )
-    nat = rd.read_parquet(f"{sf_dir}/nation.parquet").take_all()
+    sup = sf_table(sf_dir, "supplier", ["s_suppkey", "s_name", "s_nationkey"])
+    nat = sf_table(sf_dir, "nation").take_all()
     keep_nks = ", ".join(
         str(int(n["n_nationkey"])) for n in nat
         if n["n_name"].startswith("NATION_1")
@@ -6978,16 +6733,11 @@ def q_funnel(sf_dir: str):
     min-ts semantics): relational.funnel_stages runs it in ONE hash
     exchange with a reduceat-vectorized kernel; the oracle decorrelates
     the same funnel into chained min CTEs."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         funnel_stages,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type"],
-    )
+    ds = sf_table(sf_dir, "events", ["user_id", "ts", "event_type"])
     return funnel_stages(
         ds, key="user_id", ts_col="ts", type_col="event_type",
         stages=["view", "click", "purchase"],
@@ -7024,17 +6774,13 @@ def q_triangles(sf_dir: str):
     node-iterator — wedges only out of low-degree endpoints (O(m^1.5)
     total), closing edges checked in one pair-keyed exchange. The oracle
     is the canonical x<y<z three-way self-join."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _segment_starts,
         _window_exchange,
         triangle_count,
     )
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"],
-    )
+    li = sf_table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     pair_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
 
     def order_pairs(t: pa.Table) -> pa.Table:
@@ -7157,13 +6903,10 @@ def q_skyline(sf_dir: str):
     prefilter, range partition on price, <= P carry-in maxima on the
     driver, one exchange; the oracle is the single-node window-cummax
     formulation of the same strict-dominance scan."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import skyline_2d
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_extendedprice", "l_quantity"],
+    li = sf_table(
+        sf_dir, "lineitem", ["l_extendedprice", "l_quantity"],
     ).map_batches(
         lambda t: pa.table({
             "price_e2": pc.round(
@@ -7201,16 +6944,12 @@ def q_json_props(sf_dir: str):
     no per-row json.loads), then a tiny per-type (count, sum) exchange —
     COUNT(col) null-exclusion semantics verified against DuckDB's
     json_extract_string."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
     from debezium_connector_db2_ray.functions.text import json_extract_int
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "props"],
-    )
+    ds = sf_table(sf_dir, "events", ["event_type", "props"])
     ext = json_extract_int(ds, col="props", path="$.k", out_col="k")
     return grouped_aggregate(
         ext, keys=["event_type"],
@@ -7248,16 +6987,13 @@ def q_above_p90(sf_dir: str):
     routes it back, and the filter runs map-side — the outlier-mining
     composite (anomalous spans per conversation, over-long turns per
     user) built entirely from existing operators."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_percentiles,
         repartition_join,
     )
 
-    v = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "value"],
+    v = sf_table(
+        sf_dir, "events", ["event_id", "user_id", "value"],
     ).map_batches(
         lambda t: pa.table({
             "event_id": t["event_id"],
@@ -7402,8 +7138,6 @@ def q_dedup_keep_best(sf_dir: str):
     deterministic ties (same skeleton as TPC-H Q2's min-cost supplier);
     the n_chars metadata attaches through one repartition join keyed by
     doc_id — the same key as the component labels."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.dedup import (
         minhash_duplicate_pairs,
     )
@@ -7415,9 +7149,7 @@ def q_dedup_keep_best(sf_dir: str):
 
     ds = _docs(sf_dir, columns=["doc_id", "text"])
     comp = duplicate_components(minhash_duplicate_pairs(ds, threshold=0.5))
-    meta = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"],
-    ).map_batches(
+    meta = sf_table(sf_dir, "documents", ["doc_id", "n_chars"]).map_batches(
         lambda t: pa.table({
             "doc_id": t["doc_id"],
             "n_chars": t["n_chars"].cast(pa.int64()),
@@ -7499,15 +7231,11 @@ def q_user_trend(sf_dir: str):
     exchange moves O(users) partial rows, and the numerator/denominator
     assemble from the exact sums — the distributed-OLS building block
     (drift detection, per-conversation verbosity trends)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"],
-    )
+    ds = sf_table(sf_dir, "events", ["user_id", "ts", "value"])
 
     def partial(t: pa.Table) -> pa.Table:
         u = t["user_id"].to_numpy(zero_copy_only=False)
@@ -7663,16 +7391,13 @@ def q_event_transitions(sf_dir: str):
     via partition-local sort + shifted take), then a tiny grouped count
     over the |types|^2 transition keys (per-batch combiner collapses each
     partition's pairs before the second, few-row exchange)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_adjacent_pairs,
         grouped_aggregate,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "event_type"],
+    ds = sf_table(
+        sf_dir, "events", ["user_id", "event_id", "ts", "event_type"],
     )
     pairs = grouped_adjacent_pairs(
         ds, keys=["user_id"],
@@ -7731,17 +7456,12 @@ def q_time_weighted_value(sf_dir: str):
     the order-independent form that hash-compares across engines (float
     accumulation order never enters). Same quantization contract as the
     LSH parity rows (floor(v*1000+0.5))."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_adjacent_pairs,
         grouped_aggregate,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "value"],
-    )
+    ds = sf_table(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
     pairs = grouped_adjacent_pairs(
         ds, keys=["user_id"],
         order_by=[("ts", "ascending"), ("event_id", "ascending")],
@@ -7805,17 +7525,13 @@ def q_retention_cohorts(sf_dir: str):
     grouped count over the O(weeks^2) cells. The mega-user case degrades
     to one user's distinct weeks on one partition (bounded by calendar
     weeks, not events)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _segment_starts,
         _window_exchange,
         grouped_aggregate,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"],
-    )
+    ds = sf_table(sf_dir, "events", ["user_id", "ts"])
 
     def to_user_weeks(batch: pa.Table) -> pa.Table:
         u = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7896,15 +7612,12 @@ def q_lineitem_pivot(sf_dir: str):
     then ONE per-batch-combined exchange over the tiny flag key space.
     Inverse of relational.unpivot; quantity is integer-valued in TPC-H so
     the wide sums stay exact int64."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity"],
+    ds = sf_table(
+        sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"],
     )
 
     def widen(batch: pa.Table) -> pa.Table:
@@ -8285,11 +7998,7 @@ def q_daily_gapfill(sf_dir: str):
             "cnt": g["day_count"].cast(pa.int64()),
         })
 
-    import ray.data as rd
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "ts"])
     counts = grouped_aggregate(
         events.map_batches(pre, batch_format="pyarrow"),
         keys=["user_id", "day"], aggs={"cnt": ("cnt", "sum")},
@@ -8425,11 +8134,8 @@ def q_last_touch(sf_dir: str):
             ),
         })
 
-    import ray.data as rd
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type", "value"],
+    events = sf_table(
+        sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"],
     )
     return _window_exchange(
         events, keys=["user_id"],
@@ -8500,11 +8206,7 @@ def q_hour_dow_profile(sf_dir: str):
             "value_milli": g["vm_sum"].cast(pa.int64()),
         })
 
-    import ray.data as rd
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "value"]
-    )
+    events = sf_table(sf_dir, "events", ["ts", "value"])
     return grouped_aggregate(
         events.map_batches(pre, batch_format="pyarrow"),
         keys=["dow", "hod"],
@@ -8574,12 +8276,7 @@ def q_signup_to_purchase(sf_dir: str):
             "s_min": g["s_min"], "p_min": g["p_min"],
         })
 
-    import ray.data as rd
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_type", "ts"],
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "event_type", "ts"])
     agg = grouped_aggregate(
         events.map_batches(pre, batch_format="pyarrow"),
         keys=["user_id"],
@@ -8671,11 +8368,7 @@ def q_active_backlog(sf_dir: str):
             "user_id": g["user_id"], "d0": g["d0_min"], "d1": g["d1_max"],
         })
 
-    import ray.data as rd
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "ts"])
     spans = grouped_aggregate(
         events.map_batches(pre, batch_format="pyarrow"),
         keys=["user_id"], aggs={"d0": ("d0", "min"), "d1": ("d1", "max")},
@@ -8922,11 +8615,8 @@ def q_debounce(sf_dir: str):
             ["event_id", "user_id", "event_type"]
         ).filter(pa.array(keep))
 
-    import ray.data as rd
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "event_type", "ts"],
+    events = sf_table(
+        sf_dir, "events", ["event_id", "user_id", "event_type", "ts"],
     )
     return _window_exchange(
         events, keys=["user_id", "event_type"],
@@ -8967,15 +8657,11 @@ def q_value_buckets(sf_dir: str):
     strictly below — one vectorized comparison per batch. Bit-exact
     cross-engine because boundaries are column elements and the
     comparison is pure (no arithmetic on floats)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         exact_percentiles,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "value"]
-    )
+    ds = sf_table(sf_dir, "events", ["event_id", "value"])
     bounds = exact_percentiles(ds, col="value", qs=[0.25, 0.5, 0.75])
     bs = np.sort(bounds["value"].to_numpy(zero_copy_only=False))
 
@@ -9130,8 +8816,6 @@ def q_cumulative_users(sf_dir: str):
     tiny per-day table (rows = distinct active days at any corpus
     size). The full distinct state never exists anywhere; the big
     exchange carries at most one row per user."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _window_exchange,
         grouped_aggregate,
@@ -9157,9 +8841,7 @@ def q_cumulative_users(sf_dir: str):
             "user_id": g["user_id"], "first_day": g["first_day_min"],
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "ts"])
     fd = grouped_aggregate(
         events.map_batches(pre, batch_format="pyarrow"),
         keys=["user_id"], aggs={"first_day": ("first_day", "min")},
@@ -9251,8 +8933,6 @@ def q_zscore_outliers(sf_dir: str):
     pairs (hi, lo) int64 limbs — the filter itself never changes shape."""
     import ray
 
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -9281,10 +8961,7 @@ def q_zscore_outliers(sf_dir: str):
             "s": g["s_sum"], "ssq": g["ssq_sum"],
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "event_type", "value"],
-    )
+    events = sf_table(sf_dir, "events", ["event_id", "event_type", "value"])
     parts = grouped_aggregate(
         events.map_batches(partial, batch_format="pyarrow"),
         keys=["event_type"],
@@ -9357,8 +9034,6 @@ def q_sliding_distinct(sf_dir: str):
     two stacked combiner exchanges finish exactly — the shipped volume is
     bounded by distinct (window, user) pairs per batch, never raw events,
     and no per-window user set is ever materialized on one node."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_count_distinct,
     )
@@ -9388,9 +9063,7 @@ def q_sliding_distinct(sf_dir: str):
             "user_id": pa.array(pairs[:, 1], pa.int64()),
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "ts"])
     return grouped_count_distinct(
         events.map_batches(fanout, batch_format="pyarrow"),
         keys=["w_start"], col="user_id", out_col="n_users",
@@ -9443,8 +9116,6 @@ def q_mad_outliers(sf_dir: str):
     2 streaming passes, zero shuffles, state = the histogram."""
     import ray
 
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -9465,9 +9136,8 @@ def q_mad_outliers(sf_dir: str):
         })
 
     def cents_ds():
-        return rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["event_id", "event_type", "value"],
+        return sf_table(
+            sf_dir, "events", ["event_id", "event_type", "value"],
         ).map_batches(to_cents, batch_format="pyarrow")
 
     def partial_hist(batch: pa.Table) -> pa.Table:
@@ -9569,8 +9239,6 @@ def q_type_affinity(sf_dir: str):
     exists; shipped volume is bounded by distinct (user, partial-mask)
     rows per batch. Integer-exact; the single jaccard division is the
     same one IEEE division as the oracle's."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _window_exchange,
         grouped_aggregate,
@@ -9590,8 +9258,8 @@ def q_type_affinity(sf_dir: str):
         return pa.table({"event_type": g["event_type"], "n": g["n_sum"]})
 
     vocab = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["event_type"]
+        sf_table(
+            sf_dir, "events", ["event_type"],
         ).map_batches(v_partial, batch_format="pyarrow"),
         keys=["event_type"], aggs={"n": ("n", "sum")},
         num_partitions=2, schema=vocab_schema,
@@ -9649,9 +9317,7 @@ def q_type_affinity(sf_dir: str):
             "cnt": pa.array(cnts.astype(np.int64), pa.int64()),
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "event_type"])
     hist = grouped_aggregate(
         _window_exchange(
             events.map_batches(partial_mask, batch_format="pyarrow"),
@@ -9823,8 +9489,6 @@ def q_rfm_scores(sf_dir: str):
     compare (equi-depth semantics: score = 1 + #boundaries strictly
     below, quantile_disc-exact on both sides) into the 3-digit RFM
     segment. Integer-exact end to end."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         exact_percentiles,
         grouped_aggregate,
@@ -9857,9 +9521,7 @@ def q_rfm_scores(sf_dir: str):
             "freq": g["freq_sum"], "cents": g["cents_sum"],
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "ts", "value"])
     users = grouped_aggregate(
         events.map_batches(partial, batch_format="pyarrow"),
         keys=["user_id"],
@@ -9932,8 +9594,6 @@ def q_ab_test_lift(sf_dir: str):
     single user-keyed exchange, then the readout is a 2-row count fold —
     the experiment table the lift/significance math reads from, with the
     one conv_rate division performed identically to the oracle's."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -9956,9 +9616,7 @@ def q_ab_test_lift(sf_dir: str):
             "user_id": g["user_id"], "converted": g["converted_max"],
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "event_type"])
     users = grouped_aggregate(
         events.map_batches(partial, batch_format="pyarrow"),
         keys=["user_id"], aggs={"converted": ("converted", "max")},
@@ -10045,13 +9703,9 @@ def q_weighted_sample(sf_dir: str):
     driver scans <= P totals, ONE exchange); W is one tiny aggregate; the
     pick rule is a map-only integer compare. No RNG state, no sort, no
     driver data."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import prefix_sum
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-    ).map_batches(
+    docs = sf_table(sf_dir, "documents", ["doc_id", "n_chars"]).map_batches(
         lambda t: pa.table({
             "doc_id": t["doc_id"],
             "w": t["n_chars"].cast(pa.int64()),
@@ -10118,8 +9772,6 @@ def q_terms_per_lang(sf_dir: str):
     segment-rank kernel takes the per-facet top rows with the
     deterministic (cnt DESC, term ASC) tiebreak. Never a global sort;
     never a per-group UDF."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
         top_n_per_group,
@@ -10159,9 +9811,7 @@ def q_terms_per_lang(sf_dir: str):
             "cnt": out["len"].cast(pa.int64()),
         })
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "text"]
-    )
+    docs = sf_table(sf_dir, "documents", ["lang", "text"])
     counts = grouped_aggregate(
         docs.map_batches(partial, batch_format="pyarrow"),
         keys=["lang", "term"], aggs={"cnt": ("cnt", "sum")},
@@ -10212,8 +9862,6 @@ def q_basket_pairs(sf_dir: str):
 
     Reference analog: none (SURVEY §2.5 analytics extension); exchange
     skeleton shared with grouped_adjacent_pairs."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _segment_starts,
         _window_exchange,
@@ -10261,9 +9909,7 @@ def q_basket_pairs(sf_dir: str):
             "support": g["p1_count"].cast(pa.int64()),
         })
 
-    items = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
-    )
+    items = sf_table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     partials = _window_exchange(
         items, keys=["l_orderkey"], cols=["l_orderkey", "l_partkey"],
         num_partitions=None, kernel=kernel, out_schema=pair_schema,
@@ -10322,8 +9968,6 @@ def q_seq_match(sf_dir: str):
     operators' documented mega-group cap.
 
     Reference analog: none (SURVEY §2.5 sequence-analytics extension)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_string_agg,
     )
@@ -10371,9 +10015,8 @@ def q_seq_match(sf_dir: str):
             "n_matches": pa.array(n, pa.int64()),
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "event_type"],
+    events = sf_table(
+        sf_dir, "events", ["user_id", "ts", "event_id", "event_type"],
     ).map_batches(encode, batch_format="pyarrow")
     seqs = grouped_string_agg(
         events, keys=["user_id"],
@@ -10419,8 +10062,6 @@ def q_type_diversity(sf_dir: str):
     squared fold keys only by user; the division runs map-side.
 
     Reference analog: none (SURVEY §2.5 analytics extension)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -10461,9 +10102,7 @@ def q_type_diversity(sf_dir: str):
             "diversity": pa.array(div, pa.float64()),
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "event_type"])
     counts = grouped_aggregate(
         events.map_batches(partial, batch_format="pyarrow"),
         keys=["user_id", "event_type"], aggs={"cnt": ("cnt", "sum")},
@@ -10520,8 +10159,6 @@ def q_ltv_decay(sf_dir: str):
     per-batch combiner; ONE keyed exchange folds users.
 
     Reference analog: none (SURVEY §2.5 analytics extension)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -10530,9 +10167,7 @@ def q_ltv_decay(sf_dir: str):
         ("user_id", pa.int64()), ("ltv_decayed_cents", pa.int64()),
     ])
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "ts", "value"])
     md = int(
         events.map_batches(
             lambda t: pa.table({
@@ -10605,15 +10240,12 @@ def q_cume_dist(sf_dir: str):
 
     Completes the window-family surface next to dense_rank / ntile /
     percent_rank (SURVEY §2 O-family)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_rank,
     )
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "value"],
+    events = sf_table(
+        sf_dir, "events", ["event_id", "user_id", "value"],
     ).map_batches(
         lambda t: pa.table({
             "event_id": t["event_id"],
@@ -10689,8 +10321,6 @@ def q_session_paths(sf_dir: str):
 
     Reference analog: none (SURVEY §2.5 sequence-analytics extension);
     same exchange skeleton as grouped_string_agg."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _window_exchange,
         global_top_k,
@@ -10757,9 +10387,8 @@ def q_session_paths(sf_dir: str):
             "event_id": batch["event_id"], "code": code,
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "event_type"],
+    events = sf_table(
+        sf_dir, "events", ["user_id", "ts", "event_id", "event_type"],
     ).map_batches(encode, batch_format="pyarrow")
     partials = _window_exchange(
         events, keys=["user_id"],
@@ -10821,8 +10450,6 @@ def q_churn_labels(sf_dir: str):
     is map-side integer arithmetic.
 
     Reference analog: none (SURVEY §2.5 analytics extension)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -10850,9 +10477,7 @@ def q_churn_labels(sf_dir: str):
             "n": g["user_id_count"].cast(pa.int64()),
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "ts"])
     days = grouped_aggregate(
         events.map_batches(partial, batch_format="pyarrow"),
         keys=["user_id", "day"], aggs={"n": ("n", "sum")},
@@ -10946,15 +10571,11 @@ def q_percentiles_cont(sf_dir: str):
 
     Reference analog: none (SURVEY §2 A-family extension beyond
     quantile_disc)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         exact_percentiles,
     )
 
-    cents = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"]
-    ).map_batches(
+    cents = sf_table(sf_dir, "lineitem", ["l_extendedprice"]).map_batches(
         lambda t: pa.table({
             "x": pc.cast(
                 pc.round(pc.multiply(t["l_extendedprice"], 100.0)),
@@ -11040,8 +10661,6 @@ def q_price_regression(sf_dir: str):
     model-diagnostics pipelines.
 
     Reference analog: none (SURVEY §2 A-family extension)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -11071,9 +10690,8 @@ def q_price_regression(sf_dir: str):
         })
 
     folded = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_quantity", "l_extendedprice"],
+        sf_table(
+            sf_dir, "lineitem", ["l_quantity", "l_extendedprice"],
         ).map_batches(partial, batch_format="pyarrow"),
         keys=["g"],
         aggs={"n": ("n", "sum"), "sx": ("sx", "sum"),
@@ -11129,15 +10747,12 @@ def q_nth_value(sf_dir: str):
     grouped_nth_value's one-exchange segment kernel with the
     deterministic (ts, event_id) order. Completes the window value
     family next to first/last_value and lag/lead."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_nth_value,
     )
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "value"],
+    events = sf_table(
+        sf_dir, "events", ["event_id", "user_id", "ts", "value"],
     ).map_batches(
         lambda t: pa.table({
             "event_id": t["event_id"],
@@ -11193,15 +10808,12 @@ def q_top_orders_ties(sf_dir: str):
     survive (row_number()'s arbitrary tie drop is exactly what WITH TIES
     exists to avoid — integer-cent prices make ties real). grouped_rank's
     one-exchange rank kernel + a map-side filter."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_rank,
     )
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderkey", "o_totalprice"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"],
     ).map_batches(
         lambda t: pa.table({
             "o_custkey": t["o_custkey"],
@@ -11268,8 +10880,6 @@ def q_session_stats(sf_dir: str):
     (a user's rows are co-located by construction, so the session sizes
     reduce with np.add.reduceat / np.maximum.reduceat — no second
     exchange at all)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _window_exchange,
     )
@@ -11315,10 +10925,7 @@ def q_session_stats(sf_dir: str):
             "longest_session": pa.array(longest.astype(np.int64)),
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id"],
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "ts", "event_id"])
     return _window_exchange(
         events, keys=["user_id"], cols=["user_id", "ts", "event_id"],
         num_partitions=None, kernel=kernel, out_schema=out_schema,
@@ -11495,8 +11102,6 @@ def q_mode_per_type(sf_dir: str):
     ties to the smallest value): per-batch (type, value) count combiner,
     one keyed fold, then top_n_per_group's segment-rank kernel at n=1 —
     the SQL mode()/top-1-by-count surface without a per-group UDF."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
         top_n_per_group,
@@ -11526,8 +11131,8 @@ def q_mode_per_type(sf_dir: str):
         })
 
     counts = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["event_type", "value"]
+        sf_table(
+            sf_dir, "events", ["event_type", "value"],
         ).map_batches(partial, batch_format="pyarrow"),
         keys=["event_type", "v_e2"], aggs={"cnt": ("cnt", "sum")},
         schema=cnt_schema,
@@ -11582,8 +11187,6 @@ def q_daily_ma(sf_dir: str):
     window then runs on the reduced day series in one partition:
     cumulative-sum differences for s7, min(rn, 7) for the short head
     windows, one exact int64/int64 division for the average."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -11612,8 +11215,8 @@ def q_daily_ma(sf_dir: str):
         })
 
     daily = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["ts", "value"]
+        sf_table(
+            sf_dir, "events", ["ts", "value"],
         ).map_batches(partial, batch_format="pyarrow"),
         keys=["day"], aggs={"cents": ("cents", "sum")},
         num_partitions=1, schema=day_schema,
@@ -11681,8 +11284,6 @@ def q_brand_share(sf_dir: str):
     from the reduced brand table itself — one extra tiny pass, zero
     extra scans of lineitem. The share division is one exact
     int64/int64 -> double op, bit-identical to the oracle."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
         grouped_aggregate,
@@ -11713,13 +11314,10 @@ def q_brand_share(sf_dir: str):
             "rev_e4": g["rev_e4_sum"].cast(pa.int64()),
         })
 
-    items = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_extendedprice", "l_discount"],
+    items = sf_table(
+        sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"],
     )
-    parts = rd.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
-    )
+    parts = sf_table(sf_dir, "part", ["p_partkey", "p_brand"])
     brands = grouped_aggregate(
         broadcast_join(items, parts, on="l_partkey",
                        right_on="p_partkey")
@@ -11771,15 +11369,11 @@ def q_global_rank(sf_dir: str):
     shape), per-range counts fold to driver-side offsets (P integers,
     never data), and rank = range offset + local ordinal. Rows move
     exactly ONCE; no global sort materializes anywhere."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         prefix_sum,
     )
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "value"]
-    ).map_batches(
+    events = sf_table(sf_dir, "events", ["event_id", "value"]).map_batches(
         lambda t: pa.table({
             "k": pc.add(
                 pc.multiply(
@@ -11855,8 +11449,6 @@ def q_heavy_users_mg(sf_dir: str):
     two-pass shape mirrors dedup's candidate/verify split)."""
     import ray
 
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         global_top_k,
         grouped_aggregate,
@@ -11889,9 +11481,7 @@ def q_heavy_users_mg(sf_dir: str):
             "w": pa.array(cnt.astype(np.int64), pa.int64()),
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id"]
-    )
+    events = sf_table(sf_dir, "events", ["user_id"])
 
     MG_GLOBAL_CAP = 4096
 
@@ -12023,8 +11613,6 @@ def q_ab_srm(sf_dir: str):
     (arm, user) dedup combiner + one tiny fold, and each arm's
     chi-square term against the expected 50/50 split is a final double
     expression in the oracle's exact operation order."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -12050,8 +11638,8 @@ def q_ab_srm(sf_dir: str):
         })
 
     pairs = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["user_id"]
+        sf_table(
+            sf_dir, "events", ["user_id"],
         ).map_batches(arms, batch_format="pyarrow"),
         keys=["arm", "user_id"], aggs={"n": ("user_id", "count")},
         schema=pair_schema,
@@ -12137,15 +11725,11 @@ def q_grouped_cont(sf_dir: str):
     (q*(m-1)) per segment, blended as a + (b-a)*f in the oracle's exact
     double operation order. Completes the percentile surface:
     global disc, global cont, grouped disc, grouped cont."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_percentiles,
     )
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "value"]
-    ).map_batches(
+    events = sf_table(sf_dir, "events", ["user_id", "value"]).map_batches(
         lambda t: pa.table({
             "user_id": t["user_id"],
             "x": pc.cast(
@@ -12205,8 +11789,6 @@ def q_length_buckets(sf_dir: str):
     and the batch count at a {BUCKET_TOKEN_BUDGET}-token budget.
     Map-only tokenize + a <= 32-cell combiner; the fold is
     bucket-vocabulary-sized at any corpus size."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -12328,8 +11910,6 @@ def q_emb_drift(sf_dir: str):
     a double expression in the oracle's operation order. Per-batch
     combiner emits 64 (dim, su, sv) rows; everything after the fold is
     driver-side arithmetic on 64 integers."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -12338,8 +11918,7 @@ def q_emb_drift(sf_dir: str):
         ("dim", pa.int64()), ("su", pa.int64()), ("sv", pa.int64()),
     ])
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
+    emb = sf_table(sf_dir, "embeddings", ["vec_id", "embedding"])
     half = (int(emb.max("vec_id")) + 1) // 2
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -12435,8 +12014,6 @@ def q_grouped_corr(sf_dir: str):
     fold, and the per-group finish mirrors the oracle's double
     expression (floor(v + 0.5) on both sides — the half-even lesson from
     the global corr applied from the start)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -12478,9 +12055,9 @@ def q_grouped_corr(sf_dir: str):
         })
 
     folded = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_returnflag", "l_quantity", "l_extendedprice"],
+        sf_table(
+            sf_dir, "lineitem",
+            ["l_returnflag", "l_quantity", "l_extendedprice"],
         ).map_batches(partial, batch_format="pyarrow"),
         keys=["l_returnflag"],
         aggs={c: (c, "sum")
@@ -12723,8 +12300,6 @@ def q_span_plan(sf_dir: str):
     arithmetic (DuckDB's BIGINT division floors like numpy //), so the
     plan is deterministic and cluster-size independent. Map-only: one
     tokenizer pass per batch, no exchange anywhere."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.text import TOKEN_PATTERN
 
     def plan(batch: pa.Table) -> pa.Table:
@@ -12753,8 +12328,8 @@ def q_span_plan(sf_dir: str):
             "n_spans": pa.array(ns, pa.int64()),
         })
 
-    return rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    return sf_table(
+        sf_dir, "documents", ["doc_id", "text"],
     ).map_batches(plan, batch_format="pyarrow")
 
 
@@ -12812,8 +12387,6 @@ def q_similar_items(sf_dir: str):
     table is part-vocabulary-sized — never a shuffle of the pair
     stream), and top_n_per_group's segment-rank kernel with
     deterministic (sim DESC, other ASC) ties."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _segment_starts,
         _window_exchange,
@@ -12822,9 +12395,7 @@ def q_similar_items(sf_dir: str):
         top_n_per_group,
     )
 
-    items = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
-    )
+    items = sf_table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     pair_schema = pa.schema([
         ("p1", pa.int64()), ("p2", pa.int64()), ("support", pa.int64()),
     ])
@@ -12995,16 +12566,13 @@ def q_next_event_baseline(sf_dir: str):
     already powers the Markov counts) and the evaluation itself reads a
     |vocab|^2 table — no second pass, no prediction materialization.
     The single division is exact int64 -> double."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_adjacent_pairs,
         grouped_aggregate,
     )
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "event_type"],
+    events = sf_table(
+        sf_dir, "events", ["user_id", "event_id", "ts", "event_type"],
     )
     pairs = grouped_adjacent_pairs(
         events, keys=["user_id"],
@@ -13108,8 +12676,6 @@ def q_stickiness(sf_dir: str):
     never the event stream), a second (window-day, user) fold dedups,
     and the per-day counts divide once in double. The oracle's
     range-join formulation is the quadratic shape this avoids."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -13134,9 +12700,7 @@ def q_stickiness(sf_dir: str):
             "user_id": pa.array(pairs[:, 1], pa.int64()),
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
-    )
+    events = sf_table(sf_dir, "events", ["ts", "user_id"])
     activity = grouped_aggregate(
         events.map_batches(day_user, batch_format="pyarrow"),
         keys=["day", "user_id"], aggs={"n": ("day", "count")},
@@ -13236,8 +12800,6 @@ def q_aov_by_segment(sf_dir: str):
     orders fact never shuffles), per-batch (segment, cents, count)
     partials bound the single fold by segment vocabulary, and the AOV is
     one exact int64/int64 double division."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
         grouped_aggregate,
@@ -13268,13 +12830,8 @@ def q_aov_by_segment(sf_dir: str):
             "total_cents": g["cents_sum"].cast(pa.int64()),
         })
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-    )
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment"],
-    )
+    orders = sf_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    cust = sf_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     folded = grouped_aggregate(
         broadcast_join(orders, cust, on="o_custkey",
                        right_on="c_custkey")
@@ -13341,20 +12898,13 @@ def q_trade_balance(sf_dir: str):
     broadcast-enriched fact scans, each folding to nation-vocabulary
     partials, merged over the 25-row nation table driver-side. Exact
     integer cents end to end; neither fact table ever shuffles."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         broadcast_join,
         grouped_aggregate,
     )
 
-    sup = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-    )
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_suppkey", "l_extendedprice"],
-    )
+    sup = sf_table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    li = sf_table(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice"])
 
     def sup_partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -13385,12 +12935,8 @@ def q_trade_balance(sf_dir: str):
         ]),
     ).to_pandas()
 
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-    )
+    cust = sf_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    orders = sf_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def spend_partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -13475,8 +13021,6 @@ def q_running_distinct(sf_dir: str):
     user-keyed exchange; the kernel finds first occurrences with a
     (user, type, ts, event) lexsort, maps the flags back through the
     permutation, and cumsums per user segment — all vectorized."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _segment_starts,
         _window_exchange,
@@ -13521,9 +13065,8 @@ def q_running_distinct(sf_dir: str):
             "distinct_types_so_far": pa.array(running, pa.int64()),
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "event_type"],
+    events = sf_table(
+        sf_dir, "events", ["user_id", "event_id", "ts", "event_type"],
     )
     return _window_exchange(
         events, keys=["user_id"],
@@ -13562,7 +13105,6 @@ def q_type_share_trend(sf_dir: str):
     table; the share is an exact int64/int64 double division computed
     against a broadcast day-total lookup."""
     import ray
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
@@ -13593,8 +13135,8 @@ def q_type_share_trend(sf_dir: str):
         })
 
     counts = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
+        sf_table(
+            sf_dir, "events", ["ts", "event_type"],
         ).map_batches(partial, batch_format="pyarrow"),
         keys=["day", "event_type"], aggs={"n": ("n", "sum")},
         num_partitions=1, schema=c_schema,
@@ -13656,8 +13198,6 @@ def q_price_size_slope(sf_dir: str):
     sufficient statistics — a (type)-keyed combiner, one fold, and the
     per-group slope in the oracle's double operation order. Groups of
     one part are excluded (their denominator is zero on both sides)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -13697,9 +13237,8 @@ def q_price_size_slope(sf_dir: str):
         })
 
     folded = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/part.parquet",
-            columns=["p_type", "p_size", "p_retailprice"],
+        sf_table(
+            sf_dir, "part", ["p_type", "p_size", "p_retailprice"],
         ).map_batches(partial, batch_format="pyarrow"),
         keys=["p_type"],
         aggs={c: (c, "sum") for c in ("n", "sx", "sy", "sxx", "sxy")},
@@ -13773,8 +13312,6 @@ def q_value_pareto(sf_dir: str):
     user table still grows with the corpus, so no driver materialization
     of it), and map-side filtered sums fold to a single row. The share
     is one exact int64/int64 double division."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         exact_percentiles,
         grouped_aggregate,
@@ -13801,8 +13338,8 @@ def q_value_pareto(sf_dir: str):
         })
 
     users = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["user_id", "value"]
+        sf_table(
+            sf_dir, "events", ["user_id", "value"],
         ).map_batches(partial, batch_format="pyarrow"),
         keys=["user_id"], aggs={"cents": ("cents", "sum")},
         schema=u_schema,
@@ -13876,8 +13413,6 @@ def q_first_order_share(sf_dir: str):
     customer's orders are co-located, so firstness is decided locally),
     then per-day first/total counts fold through a calendar-bounded
     combiner and divide exactly once."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _segment_starts,
         _window_exchange,
@@ -13916,9 +13451,8 @@ def q_first_order_share(sf_dir: str):
             "n_first": g["first_sum"].cast(pa.int64()),
         })
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderkey", "o_orderdate"],
+    orders = sf_table(
+        sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate"],
     )
     folded = grouped_aggregate(
         _window_exchange(
@@ -13987,17 +13521,12 @@ def q_gap_percentiles(sf_dir: str):
     narrowing scans over the gap column (no sort of the gap stream at
     any scale). First rows per user (NULL gap) are excluded like the
     oracle's WHERE."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         exact_percentiles,
         grouped_lag_delta,
     )
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts"],
-    )
+    events = sf_table(sf_dir, "events", ["user_id", "event_id", "ts"])
     gaps = grouped_lag_delta(
         events, keys=["user_id"],
         order_by=[("ts", "ascending"), ("event_id", "ascending")],
@@ -14032,8 +13561,6 @@ def q_source_lang_matrix(sf_dir: str):
     volume) — the first table in any dataset card. Pure combiner shape:
     each batch collapses to at most |sources| x |langs| rows before one
     vocabulary-bounded fold."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -14110,8 +13637,6 @@ def q_conversion_percentiles(sf_dir: str):
     after it in a single sorted pass — and the no-sort selector finds
     the percentiles over the reduced latency column. Users who never
     convert contribute nothing (the funnel's inner-join shape)."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _segment_starts,
         _window_exchange,
@@ -14154,9 +13679,8 @@ def q_conversion_percentiles(sf_dir: str):
         ).astype(np.int64)
         return pa.table({"latency_us": pa.array(lat)})
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type"],
+    events = sf_table(
+        sf_dir, "events", ["user_id", "ts", "event_type"],
     ).map_batches(
         lambda t: pa.table({
             "user_id": t["user_id"],
@@ -14252,10 +13776,7 @@ def q_region_revenue(sf_dir: str):
             "revenue_cents": g["c_sum"].cast(pa.int64()),
         })
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_suppkey", "l_extendedprice"],
-    )
+    li = sf_table(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice"])
     return grouped_aggregate(
         broadcast_join(li, dim_ds, on="l_suppkey",
                        right_on="s_suppkey")
@@ -14296,8 +13817,6 @@ def q_prop_k_hist(sf_dir: str):
     histogram partials folded per bucket with min/max — the
     semi-structured profiling step beyond plain extraction. NULL /
     missing properties drop out like the oracle's WHERE."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -14310,9 +13829,7 @@ def q_prop_k_hist(sf_dir: str):
         ("min_k", pa.int64()), ("max_k", pa.int64()),
     ])
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["props"]
-    )
+    ds = sf_table(sf_dir, "events", ["props"])
     ext = json_extract_int(ds, col="props", path="$.k", out_col="k")
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -14385,8 +13902,6 @@ def q_session_contingency(sf_dir: str):
     error/purchase flags via maximum.reduceat over the session segments,
     and a 4-cell combiner fold. ONE user-keyed exchange, everything else
     vocabulary-sized."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _window_exchange,
         grouped_aggregate,
@@ -14437,9 +13952,8 @@ def q_session_contingency(sf_dir: str):
             "n_sessions": g["one_sum"].cast(pa.int64()),
         })
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "event_type"],
+    events = sf_table(
+        sf_dir, "events", ["user_id", "ts", "event_id", "event_type"],
     )
     return grouped_aggregate(
         _window_exchange(
@@ -14496,16 +14010,13 @@ def q_purchase_regularity(sf_dir: str):
     user, and the one double expression mirrors the oracle's operation
     order (the SQL_CORR float rule). Users with fewer than two gaps drop
     out on both sides."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
         grouped_lag_delta,
     )
 
-    purchases = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "event_type"],
+    purchases = sf_table(
+        sf_dir, "events", ["user_id", "event_id", "ts", "event_type"],
     ).filter(expr="event_type == 'purchase'").map_batches(
         lambda t: t.drop_columns(["event_type"]),
         batch_format="pyarrow",
@@ -14597,8 +14108,6 @@ def q_qty_price_heatmap(sf_dir: str):
     pricing model. Pure combiner: each batch collapses to at most
     |qty| x |bands| cells before one vocabulary-bounded fold; integer
     floor-division banding is exact on both engines."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -14628,9 +14137,8 @@ def q_qty_price_heatmap(sf_dir: str):
         })
 
     return grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_quantity", "l_extendedprice"],
+        sf_table(
+            sf_dir, "lineitem", ["l_quantity", "l_extendedprice"],
         ).map_batches(partial, batch_format="pyarrow"),
         keys=["qty", "price_band"], aggs={"n": ("n", "sum")},
         num_partitions=1, schema=h_schema,
@@ -14662,8 +14170,6 @@ def q_length_qa(sf_dir: str):
     """Corpus length QA (empty / short / normal buckets with ranges) —
     the first sanity gate a curation run applies. Map-side CASE banding
     plus a 3-cell combiner fold."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
     )
@@ -14745,16 +14251,11 @@ def q_value_drawdown(sf_dir: str):
     over the whole partition (relational.grouped_drawdown) — log2 of the
     longest group fully-vectorized passes, never a per-group loop. Money
     in scaled integers so the subtraction is cross-engine exact."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_drawdown,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "value"],
-    )
+    ds = sf_table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
     def cents(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -14863,8 +14364,6 @@ def q_longest_streak(sf_dir: str):
     a partition-local run-length kernel: sort, adjacent dedupe, island
     breaks where day != prev_day + 1, reduceat folds per island and per
     user — integer day arithmetic, exact on both engines."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _window_exchange,
     )
@@ -14907,8 +14406,8 @@ def q_longest_streak(sf_dir: str):
                 np.add.reduceat(isl_len, ui), pa.int64()),
         }, schema=out_schema)
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
+    ds = sf_table(
+        sf_dir, "events", ["user_id", "ts"],
     ).map_batches(day_partial, batch_format="pyarrow")
     return _window_exchange(
         ds, keys=["user_id"], cols=["user_id", "day"],
@@ -14946,16 +14445,11 @@ def q_rolling_extrema(sf_dir: str):
     frame spans at most one block boundary, so every frame is
     combine(suffix[lo], prefix[i]) — exact, no per-row loop. Money in
     scaled integers for cross-engine equality."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         grouped_rolling_minmax,
     )
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "value"],
-    )
+    ds = sf_table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
     def cents(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -15025,8 +14519,6 @@ def q_weighted_median(sf_dir: str):
     one cumulative weight sum, and picks the first value where
     2*cum >= total — the same tie-free rule the oracle's window states.
     Integer cents/weights keep both engines bit-identical."""
-    import ray.data as rd
-
     from debezium_connector_db2_ray.functions.relational import (
         _segment_starts,
         _window_exchange,
@@ -15087,9 +14579,9 @@ def q_weighted_median(sf_dir: str):
     # pre-aggregate (combiner exchange over the (flag, price) vocabulary)
     # so duplicate prices from different batches fold before the median
     folded = grouped_aggregate(
-        rd.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_returnflag", "l_extendedprice", "l_quantity"],
+        sf_table(
+            sf_dir, "lineitem",
+            ["l_returnflag", "l_extendedprice", "l_quantity"],
         ).map_batches(partial, batch_format="pyarrow"),
         keys=["flag", "price_cents"], aggs={"wt": ("wt", "sum")},
         schema=part_schema,

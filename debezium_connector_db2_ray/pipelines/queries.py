@@ -39,6 +39,7 @@ from debezium_connector_db2_ray.ops import (
     OP_UPDATE_SINGLE,
 )
 from debezium_connector_db2_ray.schema import changelog_schema
+from debezium_connector_db2_ray.sources.files import sf_table
 
 TURN_MOD = 20
 NP = 16  # hash partitions for the sf-scale gate queries
@@ -204,19 +205,11 @@ FROM ranked WHERE rn = 1 AND op <> 1
 """
 
 
-def _events(sf_dir: str):
-    """The events source, read with its footer schema minus the
-    schema-level ``pandas`` metadata the file was written with: that dict
-    makes the schema unhashable, and Ray logs ``Failed to hash the
-    schemas`` whenever it unifies the read's block schemas."""
-    import ray.data as rd
-
-    path = f"{sf_dir}/events.parquet"
-    cols = ["event_id", "user_id", "event_type", "props", "ts"]
-    sch = pq.read_schema(path)
-    return rd.read_parquet(
-        path, columns=cols,
-        schema=pa.schema([sch.field(c) for c in cols]),
+def _events(sf_dir: str, filter=None):
+    """The ``events`` columns the change log is derived from."""
+    return sf_table(
+        sf_dir, "events", ["event_id", "user_id", "event_type", "props", "ts"],
+        filter,
     )
 
 
@@ -261,18 +254,12 @@ def q_snapshot_then_stream(sf_dir: str):
     from debezium_connector_db2_ray.pipelines.replay import apply_dataset
 
     fence = _max_event_id(sf_dir) // 2
-    import ray.data as rd
-
-    head = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "event_type", "props", "ts"],
-        filter=pads.field("event_id") <= fence,
-    ).map_batches(derive_changelog, batch_format="pyarrow")
-    tail = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "event_type", "props", "ts"],
-        filter=pads.field("event_id") > fence,
-    ).map_batches(derive_changelog, batch_format="pyarrow")
+    head = _events(sf_dir, pads.field("event_id") <= fence).map_batches(
+        derive_changelog, batch_format="pyarrow"
+    )
+    tail = _events(sf_dir, pads.field("event_id") > fence).map_batches(
+        derive_changelog, batch_format="pyarrow"
+    )
     lake = apply_dataset(head, num_partitions=NP)
     out = apply_dataset(
         tail, num_partitions=NP, snapshot=lake, snapshot_lsn=Lsn(0, fence)
@@ -759,16 +746,13 @@ def q_schema_evolution(sf_dir: str):
     schema (adds ``lang``) at a boundary LSN — old-era winners are
     null-backfilled (Db2StreamingChangeEventSource.java:374-409)."""
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.pipelines.replay import apply_dataset
 
     boundary = _max_event_id(sf_dir) // 2
-    cols = ["event_id", "user_id", "event_type", "props", "ts"]
-    old_era = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=cols,
-        filter=pads.field("event_id") <= boundary,
-    ).map_batches(derive_changelog, batch_format="pyarrow")
+    old_era = _events(sf_dir, pads.field("event_id") <= boundary).map_batches(
+        derive_changelog, batch_format="pyarrow"
+    )
 
     def derive_new_era(batch: pa.Table) -> pa.Table:
         t = derive_changelog(batch)
@@ -776,10 +760,9 @@ def q_schema_evolution(sf_dir: str):
         lang = np.where(lsn % 3 == 0, "fr", "en")
         return t.append_column("lang", pa.array(lang, pa.string()))
 
-    new_era = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=cols,
-        filter=pads.field("event_id") > boundary,
-    ).map_batches(derive_new_era, batch_format="pyarrow")
+    new_era = _events(sf_dir, pads.field("event_id") > boundary).map_batches(
+        derive_new_era, batch_format="pyarrow"
+    )
 
     lake = apply_dataset(old_era, num_partitions=NP)
     out = apply_dataset(
@@ -1282,7 +1265,6 @@ def q_state_diff(sf_dir: str):
     window count, so the single exchange moves O(touched keys) partials;
     the kind decode is a map over the aggregate."""
     import pyarrow.dataset as pads
-    import ray.data as rd
 
     from debezium_connector_db2_ray.functions.relational import (
         grouped_aggregate,
@@ -1290,11 +1272,9 @@ def q_state_diff(sf_dir: str):
 
     mx = _max_event_id(sf_dir)
     a, b = mx // 3, (2 * mx) // 3
-    cols = ["event_id", "user_id", "event_type", "props", "ts"]
-    cl = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=cols,
-        filter=pads.field("event_id") <= b,
-    ).map_batches(derive_changelog, batch_format="pyarrow")
+    cl = _events(sf_dir, pads.field("event_id") <= b).map_batches(
+        derive_changelog, batch_format="pyarrow"
+    )
 
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:

@@ -1,4 +1,7 @@
-"""Alternate source formats: CSV and JSONL ingestion.
+"""Fixture tables and alternate source formats: CSV and JSONL ingestion.
+
+``sf_table`` is the one reader of a fixture table (``{sf_dir}/<name>.parquet``)
+for the gate queries and the bench.
 
 The reference ingests from one source (JDBC change tables); a standalone
 engine needs the common file formats too. These helpers expose Ray Data's
@@ -19,6 +22,26 @@ import hashlib
 import os
 
 import pyarrow as pa
+import pyarrow.parquet as pq
+
+
+def sf_table(sf_dir: str, name: str, columns=None, filter=None):
+    """Read the fixture table ``{sf_dir}/{name}.parquet`` (all columns when
+    ``columns`` is None), with its footer schema minus the schema-level
+    ``pandas`` metadata the file was written with: that dict makes the
+    schema unhashable, and Ray logs ``Failed to hash the schemas`` whenever
+    it unifies the read's block schemas. The schema holds only the read
+    columns, in ``columns`` order; a full schema followed by a
+    ``select_columns`` would lose the read's projection pushdown. ``filter``
+    may name only read columns."""
+    import ray.data as rd
+
+    path = f"{sf_dir}/{name}.parquet"
+    footer = pq.read_schema(path)
+    return rd.read_parquet(
+        path, columns=columns, filter=filter,
+        schema=pa.schema([footer.field(c) for c in columns or footer.names]),
+    )
 
 
 def _fixture_path(parquet_path: str, ext: str) -> str:
@@ -33,8 +56,6 @@ def csv_copy_of_parquet(parquet_path: str, columns: list[str]) -> str:
     """Materialize (once) a CSV copy of selected parquet columns."""
     out = _fixture_path(parquet_path, "csv")
     if not os.path.exists(out):
-        import pyarrow.parquet as pq
-
         os.makedirs(os.path.dirname(out), exist_ok=True)
         t = pq.read_table(parquet_path, columns=columns)
         tmp = out + ".tmp"
@@ -50,8 +71,6 @@ def jsonl_copy_of_parquet(parquet_path: str, columns: list[str]) -> str:
     out = _fixture_path(parquet_path, "jsonl")
     if not os.path.exists(out):
         import json
-
-        import pyarrow.parquet as pq
 
         os.makedirs(os.path.dirname(out), exist_ok=True)
         t = pq.read_table(parquet_path, columns=columns)

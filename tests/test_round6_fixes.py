@@ -33,15 +33,14 @@ def test_bloom_prefilter_no_false_negatives(ray_session):
 
 
 def test_gate_ordering_tiers():
-    """__ray_entry__._ordered fronts pinned, then re-fronted fixes, then
-    unchecked-with-oracle; no-oracle rows land dead last (round-4 verdict
-    items 1/2 of the gate-rotation fix)."""
+    """__ray_entry__._ordered fronts pinned, then unchecked-with-oracle;
+    no-oracle rows land dead last (round-4 verdict items 1/2 of the
+    gate-rotation fix)."""
     import __ray_entry__ as e
 
     q = e.queries()
     names = list(q)
     assert names[:3] == e.DRIVER_GATE_PINNED
-    assert names[3:8] == e.DRIVER_GATE_REFRONT
     oracle = set(e.oracle_sql())
     no_oracle = [n for n in names if n not in oracle]
     # every no-oracle row sits behind every oracle-backed row
@@ -50,6 +49,23 @@ def test_gate_ordering_tiers():
     assert first_no_oracle > last_oracle
     # the driver window (50) contains zero no-oracle rows
     assert not (set(names[:50]) & set(no_oracle))
+
+
+def test_entry_fails_loudly_when_data_queries_do_not_import(monkeypatch):
+    """A broken functions/queries.py must fail the gate entry points, not
+    silently drop the data queries from them."""
+    import sys
+
+    import pytest
+
+    import __ray_entry__ as e
+
+    monkeypatch.setitem(
+        sys.modules, "debezium_connector_db2_ray.functions.queries", None
+    )
+    for fn in (e.queries, e.oracle_sql, e._oracle_keys):
+        with pytest.raises(ImportError):
+            fn()
 
 
 def test_bench_final_line_is_compact():

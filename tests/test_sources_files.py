@@ -1,7 +1,91 @@
-"""CSV/JSONL source readers: pinned-schema ingest is lossless."""
+"""Source readers: the fixture-table reader is the only one and reads
+without pandas metadata; pinned-schema CSV/JSONL ingest is lossless."""
 
+import ast
+import pathlib
+import re
+
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURE_TABLES = (
+    "region", "nation", "customer", "supplier", "part", "orders",
+    "lineitem", "events", "documents", "embeddings",
+)
+
+
+def test_sf_table_is_the_only_fixture_reader():
+    """A ``read_parquet`` of a fixture table outside ``sf_table`` fails
+    here: any call in the two query modules, and elsewhere in the package,
+    ``bench.py`` and ``__ray_entry__.py`` any call whose path names a
+    fixture table or the sf directory."""
+    fixture = re.compile(
+        r"\b(sf_dir|SF_DIR|SF_SMOKE)\b"
+        rf"|\b({'|'.join(FIXTURE_TABLES)})\.parquet"
+    )
+    query_modules = {
+        "debezium_connector_db2_ray/functions/queries.py",
+        "debezium_connector_db2_ray/pipelines/queries.py",
+    }
+    files = sorted((ROOT / "debezium_connector_db2_ray").rglob("*.py"))
+    files += [ROOT / "bench.py", ROOT / "__ray_entry__.py"]
+    offenders = []
+    for path in files:
+        rel = path.relative_to(ROOT).as_posix()
+        src = path.read_text()
+        tree = ast.parse(src)
+        allowed = {
+            id(n) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "sf_table"
+            for n in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if called != "read_parquet":
+                continue
+            arg = ast.get_source_segment(src, node.args[0]) if node.args else ""
+            if rel in query_modules or fixture.search(arg):
+                offenders.append(f"{rel}:{node.lineno}: {arg}")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_sf_table_reads_without_pandas_metadata(ray_session, tmp_path):
+    """A parquet file written from a pandas frame carries schema-level
+    ``pandas`` metadata; ``sf_table`` returns blocks without it, with the
+    columns in the requested (not the file's) order and the filter
+    applied in the read."""
+    import pyarrow.dataset as pads
+    import ray
+
+    from debezium_connector_db2_ray.sources.files import sf_table
+
+    df = pd.DataFrame({
+        "a": range(100),
+        "b": [f"s{i}" for i in range(100)],
+        "c": [i / 4 for i in range(100)],
+    })
+    pq.write_table(pa.Table.from_pandas(df), tmp_path / "t.parquet",
+                   row_group_size=10)
+    assert b"pandas" in pq.read_schema(tmp_path / "t.parquet").metadata
+
+    ds = sf_table(str(tmp_path), "t", ["c", "a"], filter=pads.field("a") >= 42)
+    blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+    assert blocks
+    for b in blocks:
+        assert not b.schema.metadata
+        assert b.column_names == ["c", "a"]
+    got = pa.concat_tables(blocks).sort_by("a")
+    assert got["a"].to_pylist() == list(range(42, 100))
+    assert got["c"].to_pylist() == [i / 4 for i in range(42, 100)]
+
+    full = ray.get(sf_table(str(tmp_path), "t").to_arrow_refs())
+    assert all(not b.schema.metadata for b in full)
+    assert full[0].column_names == ["a", "b", "c"]
+    assert sum(b.num_rows for b in full) == 100
 
 
 def test_csv_jsonl_roundtrip(ray_session, tmp_path):
