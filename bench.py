@@ -45,10 +45,7 @@ def ensure_bench_data() -> dict:
     if os.path.exists(marker):
         return json.load(open(marker))
     from debezium_connector_db2_ray.lsn import Lsn
-    from debezium_connector_db2_ray.sources.genlog import (
-        generate_changelog_fast,
-        generate_lake,
-    )
+    from debezium_connector_db2_ray.sources.genlog import generate_lake
 
     os.makedirs(BENCH_DATA, exist_ok=True)
     # multi-file layout: parallel reads + whole-file pruning per LSN window,
@@ -151,7 +148,7 @@ def _headline_once(timings: dict) -> dict:
     import ray.data as rd
 
     from debezium_connector_db2_ray.lsn import Lsn
-    from debezium_connector_db2_ray.pipelines.replay import CdcEngine, plan_windows
+    from debezium_connector_db2_ray.pipelines.replay import CdcEngine
 
     info = ensure_bench_data()
     warm_page_cache([info["lake"], info["changelog"]])

@@ -6775,7 +6775,6 @@ def q_triangles(sf_dir: str):
     total), closing edges checked in one pair-keyed exchange. The oracle
     is the canonical x<y<z three-way self-join."""
     from debezium_connector_db2_ray.functions.relational import (
-        _segment_starts,
         _window_exchange,
         triangle_count,
     )
@@ -9863,7 +9862,6 @@ def q_basket_pairs(sf_dir: str):
     Reference analog: none (SURVEY §2.5 analytics extension); exchange
     skeleton shared with grouped_adjacent_pairs."""
     from debezium_connector_db2_ray.functions.relational import (
-        _segment_starts,
         _window_exchange,
         grouped_aggregate,
     )
@@ -12388,7 +12386,6 @@ def q_similar_items(sf_dir: str):
     stream), and top_n_per_group's segment-rank kernel with
     deterministic (sim DESC, other ASC) ties."""
     from debezium_connector_db2_ray.functions.relational import (
-        _segment_starts,
         _window_exchange,
         broadcast_join,
         grouped_aggregate,

@@ -463,7 +463,8 @@ class CdcEngine:
     def schema_history(self):
         """Durable CREATE/ALTER log (reference Db2DatabaseSchema.java:51-71);
         rebuilt lazily from disk — recovery after restart is just re-reading
-        the log (SchemaHistoryTopicIT semantics)."""
+        the log (SchemaHistoryTopicIT semantics). Each access returns a new
+        ``SchemaHistory``; the file is parsed once per version."""
         from debezium_connector_db2_ray.state.schema_log import SchemaHistory
 
         return SchemaHistory(self.out_dir)
@@ -855,25 +856,18 @@ class CdcEngine:
                             resume_position=resume_position)
 
     def _window_prep(self, from_lsn: Lsn, to_lsn: Lsn, inclusive_low: bool):
-        """The stream window's batch prep: fence to the window, drop NULL
-        LSNs, tag partitions and, on the shuffle fast path, partial-collapse
-        (bounds shuffle volume by touched keys; strict pair validation needs
-        every image in its partition task, and the write exchange's
+        """The stream window's batch prep, ``_prep_window_batch`` over this
+        window and engine: fence to the window, drop NULL LSNs, tag
+        partitions and, on the shuffle fast path, partial-collapse (bounds
+        shuffle volume by touched keys; strict pair validation needs every
+        image in its partition task, and the write exchange's
         ``fragment_writer`` collapses on its own)."""
-        tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
-        keys = self.key_columns
-        collapse = self.exchange == "shuffle" and not self.validate_pairs
-
-        def prep(batch: pa.Table) -> pa.Table:
-            batch = tagger(commit_range_filter(
-                batch, from_lsn, to_lsn, low_inclusive=inclusive_low
-            ))
-            if collapse:
-                batch = lww_collapse(batch, validate_pairs=False, partial=True,
-                                     key_columns=keys)
-            return batch
-
-        return prep
+        return functools.partial(
+            _prep_window_batch, lo=from_lsn.to_int(), hi=to_lsn.to_int(),
+            inclusive_low=inclusive_low, num_partitions=self.num_partitions,
+            salt=self.salt, key_columns=self.key_columns,
+            collapse=self.exchange == "shuffle" and not self.validate_pairs,
+        )
 
     def _pending(self, to_lsn: Lsn) -> bool:
         """Whether the stream window ending at ``to_lsn`` still has to run:
@@ -1012,29 +1006,21 @@ class CdcEngine:
 
     def _task_stage(self, units: list, prep):
         """Stage fn of a write-exchange window over a changelog path: one
-        plain task per unit ``(file, [row group ids])`` preps its row groups
-        one at a time and runs ``fragment_writer`` each time ``batch_size``
-        prepped rows are held (and once on the rest), so a task holds at
-        most one row group beyond a batch."""
-        batch_size = self.batch_size
-
+        plain task per unit ``(file, [row group ids])`` runs ``_write_unit``,
+        which preps the unit's row groups one at a time and runs
+        ``fragment_writer`` each time ``batch_size`` prepped rows are held
+        (and once on the rest), so a task holds at most one row group beyond
+        a batch. The task kernel is a ``functools.partial`` of module-level
+        functions over plain values (``prep`` is ``_window_prep``'s), so it
+        pickles by reference, in a few hundred bytes. ``fragment_writer`` is
+        looked up when the window stages, so a replaced one (as the
+        crash-injection tests do) ships by value instead."""
         def stage(delta_dir: str) -> list[dict]:
-            writer = fragment_writer(delta_dir, key_columns=self.key_columns)
-
-            def write_unit(unit) -> pa.Table:
-                path, row_groups = unit
-                out, held = [], []
-                with pq.ParquetFile(path) as f:
-                    for g in row_groups:
-                        held.append(prep(f.read_row_group(g)))
-                        if sum(t.num_rows for t in held) >= batch_size:
-                            out.append(writer(pa.concat_tables(held)))
-                            held = []
-                if held:
-                    out.append(writer(pa.concat_tables(held)))
-                return pa.concat_tables(out)
-
-            return _run_stage_tasks(write_unit, units)
+            return _run_stage_tasks(functools.partial(
+                _write_unit, prep=prep, delta_dir=delta_dir,
+                batch_size=self.batch_size, key_columns=self.key_columns,
+                writer=fragment_writer,
+            ), units)
 
         return stage
 
@@ -1104,25 +1090,21 @@ class CdcEngine:
         further windows.
 
         One plain Ray task per merge unit (``_stage_task``, units as in
-        ``state_dataset`` but fewer than the live files) folds the unit
-        and writes its one partition-clustered base fragment; the fold
-        already collapsed the rows, so the sink kernel only clusters them
-        (collapse "none")."""
+        ``state_dataset`` but fewer than the live files) runs
+        ``_compact_unit``: it folds the unit and writes its one
+        partition-clustered base fragment; the fold already collapsed the
+        rows, so the sink kernel only clusters them (collapse "none"). The
+        task kernel is a ``functools.partial`` over the unit-independent
+        values (the ``default_fill``, the partitioning, the staging dir and
+        ``fragment_writer``, looked up now), so it pickles by reference."""
         units, _, fill = self._merge_plan(compacting=True)
-        tagger = tag_partitions(self.num_partitions, self.salt, self.key_columns)
-        keys = self.key_columns
 
         def stage(delta_dir: str) -> list[dict]:
-            writer = fragment_writer(delta_dir, collapse="none",
-                                     key_columns=keys)
-
-            def compact_unit(unit: dict) -> pa.Table:
-                st = merge_unit(unit, fill, keys)
-                if st is None or not st.num_rows:
-                    return _MANIFEST_ROW_SCHEMA.empty_table()
-                return writer(tagger(st))
-
-            return _run_stage_tasks(compact_unit, units)
+            return _run_stage_tasks(functools.partial(
+                _compact_unit, fill=fill, num_partitions=self.num_partitions,
+                salt=self.salt, key_columns=self.key_columns,
+                delta_dir=delta_dir, writer=fragment_writer,
+            ), units)
 
         m = self._commit(
             "compaction", stage, to_lsn=committed_watermark(self.out_dir)
@@ -1377,6 +1359,55 @@ def apply_dataset(
 # ---- the plain staging tasks and the footer cache -------------------------
 
 
+def _prep_window_batch(batch: pa.Table, *, lo: int, hi: int,
+                       inclusive_low: bool, num_partitions: int, salt: int,
+                       key_columns: tuple[str, ...], collapse: bool) -> pa.Table:
+    """A stream window's batch prep (``CdcEngine._window_prep``): keep the
+    commit LSNs in (lo, hi] ([lo, hi] when ``inclusive_low``; bounds as
+    ``Lsn.to_int``), drop NULL LSNs, tag partitions and, under
+    ``collapse``, partial-collapse."""
+    batch = tag_partitions(num_partitions, salt, key_columns)(commit_range_filter(
+        batch, Lsn.from_int(lo), Lsn.from_int(hi), low_inclusive=inclusive_low))
+    if collapse:
+        batch = lww_collapse(batch, validate_pairs=False, partial=True,
+                             key_columns=key_columns)
+    return batch
+
+
+def _write_unit(unit: tuple[str, list[int]], *, prep, delta_dir: str,
+                batch_size: int, key_columns: tuple[str, ...],
+                writer) -> pa.Table:
+    """The task kernel of a write-exchange window (``CdcEngine._task_stage``):
+    ``prep`` each row group of ``unit = (file, [row group ids])`` and write
+    a fragment through ``writer`` (``fragment_writer``) whenever
+    ``batch_size`` prepped rows are held, and once on the rest."""
+    path, row_groups = unit
+    write = writer(delta_dir, key_columns=key_columns)
+    out, held = [], []
+    with pq.ParquetFile(path) as f:
+        for g in row_groups:
+            held.append(prep(f.read_row_group(g)))
+            if sum(t.num_rows for t in held) >= batch_size:
+                out.append(write(pa.concat_tables(held)))
+                held = []
+    if held:
+        out.append(write(pa.concat_tables(held)))
+    return pa.concat_tables(out)
+
+
+def _compact_unit(unit: dict, *, fill: dict, num_partitions: int, salt: int,
+                  key_columns: tuple[str, ...], delta_dir: str,
+                  writer) -> pa.Table:
+    """The task kernel of ``CdcEngine.compact``: fold a merge unit
+    (``merge_unit``), re-tag its rows under the engine's partitioning and
+    write them, already collapsed, as one base fragment."""
+    st = merge_unit(unit, fill, key_columns)
+    if st is None or not st.num_rows:
+        return _MANIFEST_ROW_SCHEMA.empty_table()
+    return writer(delta_dir, collapse="none", key_columns=key_columns)(
+        tag_partitions(num_partitions, salt, key_columns)(st))
+
+
 @ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])
 def _stage_task(kernel, unit) -> list[dict]:
     """One staging task of a write-exchange window or of compaction:
@@ -1387,12 +1418,13 @@ def _stage_task(kernel, unit) -> list[dict]:
 
 
 def _run_stage_tasks(kernel, units: list) -> list[dict]:
-    """Run ``kernel`` over ``units`` as plain Ray tasks (the kernel is put
-    in the object store once) and gather their manifest rows."""
+    """Run ``kernel`` over ``units`` as plain Ray tasks and gather their
+    manifest rows. The kernel is a small partial (``_write_unit``,
+    ``_compact_unit``) passed inline with each task: a ``ray.put`` of it
+    would cost a window more than pickling it once per task."""
     if not units:
         return []
-    ref = ray.put(kernel)
-    return [row for rows in ray.get([_stage_task.remote(ref, u) for u in units])
+    return [row for rows in ray.get([_stage_task.remote(kernel, u) for u in units])
             for row in rows]
 
 

@@ -11,11 +11,21 @@ Batch-shaped equivalent: each replay window commits ONE manifest JSON listing,
 per hash partition, the exact staged parquet files it produced, the applied
 LSN range, and lineage counts per op (the reference's transaction-metadata
 counters, TransactionMetadataIT.java:98-117, reshaped). The commit is a
-write-to-temp + atomic rename; staged files not named by any committed
-manifest do not exist as far as readers are concerned — so Ray task retries
-(which may leave duplicate staged files behind) are harmless, and a window
-whose manifest never landed re-runs idempotently (last-writer-wins makes the
-re-apply a no-op on state).
+write-to-temp + put-if-absent hard link: a window id commits at most once,
+and a second commit of the same id raises instead of replacing the first.
+Staged files not named by any committed manifest do not exist as far as
+readers are concerned — so Ray task retries (which may leave duplicate
+staged files behind) are harmless, and a window whose manifest never landed
+re-runs idempotently (last-writer-wins makes the re-apply a no-op on state).
+
+Every helper reads the log through ``load_manifests``, which parses each
+committed manifest once per process: it lists ``_manifests/`` and re-parses
+a file only when its ``(name, st_ino, st_size, st_mtime_ns)`` is new, so a
+rewritten file, or a lake deleted and rebuilt at the same path, is read
+again. The cache holds only what the last listing of each lake found, for
+at most ``_CACHED_LAKES`` lakes, and drops lakes whose manifest directory is
+gone. Its ``WindowManifest`` objects are shared by every caller: read them,
+never mutate them.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -77,8 +88,10 @@ def manifest_path(out_dir: str, window_id: int) -> str:
 
 
 def commit_manifest(out_dir: str, m: WindowManifest) -> str:
-    """Two-phase commit: write to a temp name, fsync, atomic rename. The
-    rename is the commit point."""
+    """Two-phase commit: write to a temp name, fsync, then hard-link it to
+    the final name. The link is the commit point and is put-if-absent: if
+    the window id is already committed, the temp file is removed and
+    ``FileExistsError`` raised, leaving the committed manifest as it was."""
     os.makedirs(_mdir(out_dir), exist_ok=True)
     final = manifest_path(out_dir, m.window_id)
     tmp = final + f".tmp-{uuid.uuid4().hex}"
@@ -86,22 +99,53 @@ def commit_manifest(out_dir: str, m: WindowManifest) -> str:
         json.dump(asdict(m), f, indent=1, sort_keys=True)
         f.flush()
         os.fsync(f.fileno())
-    os.replace(tmp, final)
+    try:
+        os.link(tmp, final)
+    finally:
+        os.remove(tmp)
     return final
 
 
+#: parsed manifests per manifest directory, least recently read first:
+#: ``{dir: {name: ((st_ino, st_size, st_mtime_ns), WindowManifest)}}``
+_PARSED: OrderedDict[str, dict[str, tuple[tuple, WindowManifest]]] = OrderedDict()
+#: lakes whose parsed manifests a process keeps (a connector holds one per
+#: table); reading one more evicts the least recently read
+_CACHED_LAKES = 64
+
+
+def _parse(path: str) -> WindowManifest:
+    with open(path) as f:
+        return WindowManifest(**json.load(f))
+
+
 def load_manifests(out_dir: str) -> list[WindowManifest]:
+    """The committed manifests of ``out_dir`` in window-id order, each
+    parsed once per file version (see the module docstring). The list is
+    the caller's; the manifests in it are shared."""
     d = _mdir(out_dir)
-    if not os.path.isdir(d):
+    try:
+        entries = sorted((e.name, e) for e in os.scandir(d)
+                         if e.name.startswith("window-") and e.name.endswith(".json"))
+    except (FileNotFoundError, NotADirectoryError):
+        _PARSED.pop(d, None)
         return []
-    out = []
-    for name in sorted(os.listdir(d)):
-        if not (name.startswith("window-") and name.endswith(".json")):
-            continue
-        with open(os.path.join(d, name)) as f:
-            raw = json.load(f)
-        out.append(WindowManifest(**raw))
-    return out
+    cached = _PARSED.pop(d, None)
+    if cached is None:
+        # a lake new to the cache: forget the lakes deleted since
+        for gone in [k for k in _PARSED if not os.path.isdir(k)]:
+            del _PARSED[gone]
+        cached = {}
+    parsed = {}
+    for name, e in entries:
+        st = e.stat()
+        key = (st.st_ino, st.st_size, st.st_mtime_ns)
+        hit = cached.get(name)
+        parsed[name] = hit if hit is not None and hit[0] == key else (key, _parse(e.path))
+    _PARSED[d] = parsed
+    while len(_PARSED) > _CACHED_LAKES:
+        _PARSED.popitem(last=False)
+    return [m for _, m in parsed.values()]
 
 
 def committed_watermark(out_dir: str) -> Lsn | None:
@@ -163,9 +207,12 @@ def live_partitions(out_dir: str) -> dict[int, tuple[int, list[str]]]:
     rows: dict[int, int] = {}
     seen: dict[int, dict[str, None]] = {}  # insertion-ordered file sets
     for m in _live_manifests(out_dir):
-        for pid, p in m.partitions.items():
-            rows[int(pid)] = rows.get(int(pid), 0) + p["rows"]
-            seen.setdefault(int(pid), {}).update(dict.fromkeys(p["files"]))
+        for key, p in m.partitions.items():
+            pid = int(key)
+            rows[pid] = rows.get(pid, 0) + p["rows"]
+            files = seen.setdefault(pid, {})
+            for f in p["files"]:
+                files[f] = None
     return {pid: (rows[pid], list(files)) for pid, files in seen.items()}
 
 

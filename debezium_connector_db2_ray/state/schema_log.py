@@ -11,11 +11,13 @@ SchemaHistoryTopicIT.java:70-125).
 Storage: JSON-lines file per target directory; each record carries
 ``{seq, lsn (hex), kind (CREATE|ALTER), table, schema (arrow-serialized)}``.
 Appends are write-temp + atomic rename of the whole file (histories are tiny
-— one record per DDL, not per event)."""
+— one record per DDL, not per event). A process parses each version of the
+file once (``_parsed_records``)."""
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import os
 import uuid
@@ -35,15 +37,28 @@ def _decode_schema(s: str) -> pa.Schema:
     return pa.ipc.read_schema(pa.BufferReader(base64.b64decode(s)))
 
 
+@functools.lru_cache(maxsize=64)
+def _parsed_records(path: str, ino: int, size: int, mtime_ns: int) -> tuple[dict, ...]:
+    """The records of one version of a history file, parsed once per
+    process: cached by (path, st_ino, st_size, st_mtime_ns), so a rewritten
+    file is read again. The records are shared; nothing mutates them."""
+    with open(path) as f:
+        return tuple(json.loads(line) for line in f if line.strip())
+
+
 class SchemaHistory:
     """Append-only schema log with LSN-positioned recovery."""
 
     def __init__(self, out_dir: str):
         self.path = os.path.join(out_dir, HISTORY_FILE)
         self._records: list[dict] = []
-        if os.path.exists(self.path):
-            with open(self.path) as f:
-                self._records = [json.loads(line) for line in f if line.strip()]
+        try:
+            st = os.stat(self.path)
+        except FileNotFoundError:
+            return
+        # a list of its own: record() appends here, never to the cache
+        self._records = list(_parsed_records(
+            self.path, st.st_ino, st.st_size, st.st_mtime_ns))
 
     # -- writes -------------------------------------------------------------
 
